@@ -10,19 +10,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spin_core import (
     IDENTITY_2,
     PAULI,
+    PAULI_PRODUCTS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     SINGLET,
+    FanoVector,
     fano_decompose,
     projector,
     require_density_matrix,
 )
+
+# Settings of `_sphere_search` and of the coarse grids it refines: grid
+# sizes (points per hemisphere), the number of best grid points refined, the
+# number of compass directions, the initial and final steps (radians), the
+# sufficient-decrease factor and a cap on search rounds.
+_DISCORD_GRID = 256
+_CHSH_GRID = 64
+_STARTS = 3
+_COMPASS = 6
+_STEP = 0.1
+_TOL = 1e-11
+_GAIN = 1e-3
+_MAX_ROUNDS = 2000
+_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 CHSH_FIXED_OPERATOR = np.sqrt(2.0) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
@@ -94,14 +109,6 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """Full 3x3 Pauli correlation matrix T_ij = <sigma_i (x) sigma_j>."""
-    rho = require_density_matrix(rho)
-    return np.array(
-        [[np.trace(rho @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI]
-    )
-
-
 def correlation_oracle(rho: np.ndarray, cross_atol: float = 1e-12) -> np.ndarray:
     """Same-axis Pauli correlators (<xx>, <yy>, <zz>) as direct traces.
 
@@ -109,7 +116,7 @@ def correlation_oracle(rho: np.ndarray, cross_atol: float = 1e-12) -> np.ndarray
     every dimer eigenstate and thermal state; states that mix axes are
     rejected so they cannot silently masquerade as dimer output.
     """
-    tensor = correlation_matrix(rho)
+    tensor = fano_decompose(rho).tensor
     off = tensor - np.diag(np.diag(tensor))
     worst = float(np.max(np.abs(off)))
     if worst > cross_atol:
@@ -129,49 +136,31 @@ def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float:
         rho = require_density_matrix(rho)
         return float(abs(np.trace(rho @ CHSH_FIXED_OPERATOR).real))
     if mode == "optimized":
-        t = correlation_matrix(rho)
+        t = fano_decompose(rho).tensor
         m = np.linalg.eigvalsh(t.T @ t)
         return float(2.0 * np.sqrt(m[-1] + m[-2]))
     raise ValueError(f"unknown CHSH mode {mode!r}; expected 'fixed' or 'optimized'")
 
 
-def chsh_direct_search(rho: np.ndarray, coarse: int = 12) -> float:
+def chsh_direct_search(rho: np.ndarray) -> float:
     """CHSH maximum by numerical search over measurement directions.
 
     For fixed directions b, b' on side 2, the optimal side-1 directions
-    align with T(b - b') and T(b + b'), so the search runs over the four
-    angles of b and b' (coarse grid, then Nelder-Mead). Cross-checks the
-    Horodecki value without touching its T^T T eigenvalue algebra.
+    align with T(b - b') and T(b + b'), so the search runs over the two
+    spheres of b and b' (coarse grid, then `_sphere_search`). Flipping b
+    or b' leaves the value unchanged, so the grid covers one hemisphere
+    for each. Cross-checks the Horodecki value without touching its
+    T^T T eigenvalue algebra.
     """
-    t = correlation_matrix(rho)
+    t = fano_decompose(rho).tensor
 
-    def directions(theta, phi):
-        return np.stack(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-            axis=-1,
-        )
+    def negative_chsh(pairs):
+        b, bp = pairs[..., 0, :], pairs[..., 1, :]
+        return -(np.linalg.norm((b - bp) @ t.T, axis=-1) + np.linalg.norm((b + bp) @ t.T, axis=-1))
 
-    def objective(angles):
-        b = directions(angles[..., 0], angles[..., 1])
-        bp = directions(angles[..., 2], angles[..., 3])
-        return np.linalg.norm((b - bp) @ t.T, axis=-1) + np.linalg.norm(
-            (b + bp) @ t.T, axis=-1
-        )
-
-    thetas = np.linspace(0.0, np.pi, coarse)
-    phis = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
-    grid = np.stack(np.meshgrid(thetas, phis, thetas, phis, indexing="ij"), axis=-1)
-    flat = grid.reshape(-1, 4)
-    values = objective(flat)
-    best = flat[np.argmax(values)]
-
-    result = minimize(
-        lambda a: -objective(a),
-        best,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    return float(max(values.max(), -result.fun))
+    grid = _hemisphere(_CHSH_GRID)
+    pairs = np.stack(np.broadcast_arrays(grid[:, None], grid[None, :]), axis=-2).reshape(-1, 2, 3)
+    return -_sphere_search(negative_chsh, pairs)
 
 
 def _bell_diagonal_correlations(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
@@ -188,12 +177,14 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float:
 
     "closed_form_bell_diagonal" requires a Bell-diagonal input and returns
     the middle value of {|c1|, |c2|, |c3|}. "numerical_min" minimizes
-    ||rho - dephase(rho)||_1 over the measurement direction with a 64x64
-    angular grid plus local refinement; it works for any state and agrees
-    with the closed form on Bell-diagonal ones. No normalization factor is
-    applied: this is the raw minimized trace norm.
+    ||rho - dephase(rho)||_1 over the measurement direction n: the residual
+    is built in Pauli space (`_dephasing_residual`), its trace norm is the
+    sum of |eigenvalues|, and n runs over a coarse grid on one hemisphere
+    (n and -n give the same measurement) refined by `_sphere_search`. It
+    works for any state and agrees with the closed form on Bell-diagonal
+    ones. No normalization factor is applied: this is the raw minimized
+    trace norm.
     """
-    rho = require_density_matrix(rho)
     if method == "closed_form_bell_diagonal":
         c = _bell_diagonal_correlations(rho)
         return float(np.sort(np.abs(c))[1])
@@ -201,31 +192,96 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float:
         raise ValueError(
             f"unknown discord method {method!r}; expected 'closed_form_bell_diagonal' or 'numerical_min'"
         )
+    fano = fano_decompose(rho)
 
-    thetas = np.linspace(0.0, np.pi, 64)
-    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    n = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    n_sigma = np.einsum("ki,iab->kab", n, np.stack(PAULI))
-    p_plus = 0.5 * (IDENTITY_2 + n_sigma)
-    p_minus = 0.5 * (IDENTITY_2 - n_sigma)
-    e_plus = np.einsum("kab,cd->kacbd", p_plus, IDENTITY_2).reshape(-1, 4, 4)
-    e_minus = np.einsum("kab,cd->kacbd", p_minus, IDENTITY_2).reshape(-1, 4, 4)
-    dephased = np.einsum("kij,jl,klm->kim", e_plus, rho, e_plus)
-    dephased += np.einsum("kij,jl,klm->kim", e_minus, rho, e_minus)
-    objective = np.linalg.svd(rho[None, :, :] - dephased, compute_uv=False).sum(axis=-1)
+    def residual_norm(directions):
+        return np.abs(np.linalg.eigvalsh(_dephasing_residual(fano, directions[..., 0, :]))).sum(axis=-1)
 
-    k_best = int(np.argmin(objective))
-    start = np.array([tt.reshape(-1)[k_best], pp.reshape(-1)[k_best]])
-    result = minimize(
-        lambda a: trace_norm(rho - measurement_dephase(rho, a[0], a[1])),
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 1000},
-    )
-    return float(min(objective[k_best], result.fun))
+    return _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :])
+
+
+def _dephasing_residual(fano: FanoVector, n: np.ndarray) -> np.ndarray:
+    """rho - dephase(rho) for the subsystem-1 measurement along unit vectors n.
+
+    The measurement keeps the parts of a and T along n, so the residual is
+    (1/4)[(a - (a.n) n).sigma (x) I + sum_ij (T - n n^T T)_ij sigma_i (x) sigma_j].
+    n has shape (..., 3); the result has shape (..., 4, 4).
+    """
+    coeffs = np.zeros(n.shape[:-1] + (4, 4))
+    coeffs[..., 1:, 0] = fano.a - (n @ fano.a)[..., None] * n
+    coeffs[..., 1:, 1:] = fano.tensor - n[..., :, None] * (n @ fano.tensor)[..., None, :]
+    flat = coeffs.reshape(-1, 16) @ PAULI_PRODUCTS.reshape(16, 16)
+    return flat.reshape(n.shape[:-1] + (4, 4)) / 4.0
+
+
+def _hemisphere(count: int) -> np.ndarray:
+    """`count` evenly spread unit vectors with z > 0 (a Fibonacci spiral)."""
+    k = np.arange(count) + 0.5
+    z = k / count
+    phi = _GOLDEN_ANGLE * k
+    r = np.sqrt(1.0 - z**2)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+
+
+def _tangent_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors orthogonal to each other and to each unit vector u.
+
+    Branch-free construction of Duff et al., JCGT 6(1), 1 (2017): smooth
+    everywhere except across the plane z = 0, and defined at both poles.
+    """
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
+    e2 = np.stack([b, sign + y * y * a, -y], axis=-1)
+    return e1, e2
+
+
+def _sphere_search(objective, grid: np.ndarray) -> float:
+    """Minimum of `objective` over a product of unit spheres, by compass search.
+
+    `grid` holds coarse points of shape (m, 3), m unit vectors each;
+    `objective` maps an array of shape (..., m, 3) to shape (...). The
+    _STARTS best grid points are refined as one batch. In every round each
+    point polls _COMPASS * m neighbours: one of its vectors turned by the
+    point's step towards one of _COMPASS evenly spaced directions in the
+    tangent plane at that vector. The compass turns by the golden angle each
+    round, so over the rounds the polled directions cover the tangent plane.
+    The point moves to the best neighbour if that lowers its value by more
+    than _GAIN * step^2, and halves its step only when none does; the margin
+    stops a point from creeping along a valley on gains that vanish faster
+    than its step. The lowest value reached once every step is below _TOL
+    is returned.
+    """
+    coarse = objective(grid)
+    starts = np.argsort(coarse)[:_STARTS]
+    x, value = grid[starts], coarse[starts]
+    batch, m = x.shape[:2]
+    steps = np.full(batch, _STEP)
+    compass = np.exp(2j * np.pi * np.arange(_COMPASS) / _COMPASS)[:, None, None]
+    replaced = np.eye(m, dtype=bool)[:, :, None]  # [moved sphere, sphere, xyz]
+    for r in range(_MAX_ROUNDS):
+        active = np.nonzero(steps > _TOL)[0]
+        if active.size == 0:
+            break
+        u = x[active]
+        e1, e2 = _tangent_frame(u)
+        turn = compass * np.exp(1j * _GOLDEN_ANGLE * r)
+        tangent = turn.real * e1[:, None] + turn.imag * e2[:, None]
+        h = steps[active, None, None, None]
+        turned = np.cos(h) * u[:, None] + np.sin(h) * tangent
+        turned /= np.linalg.norm(turned, axis=-1, keepdims=True)
+        # Neighbour (direction d, moved sphere s) takes sphere s from `turned`.
+        polls = np.where(replaced, turned[:, :, None], u[:, None, None]).reshape(-1, _COMPASS * m, m, 3)
+        values = objective(polls)
+        k = np.argmin(values, axis=1)
+        best = values[np.arange(active.size), k]
+        better = best < value[active] - _GAIN * steps[active] ** 2
+        x[active[better]] = polls[better, k[better]]
+        value[active[better]] = best[better]
+        steps[active[~better]] *= 0.5
+    return float(value.min())
 
 
 def werner_state(p: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import xlogy
 
 from .scattering import correlation_from_structure, scalar_structure_factor
 from .spin_core import DimerModel
@@ -76,12 +75,18 @@ def entanglement_of_formation(conc):
     exact: E(0) = 0 and E(1) = 1.
     """
     conc = np.asarray(conc, dtype=float)
-    if np.any(conc < 0.0) or np.any(conc > 1.0):
+    if np.count_nonzero((conc < 0.0) | (conc > 1.0)):
         raise ValueError("concurrence must lie in [0, 1]")
     gamma_plus = 0.5 * (1.0 + np.sqrt(1.0 - conc**2))
     gamma_minus = 1.0 - gamma_plus
-    entropy = -(xlogy(gamma_plus, gamma_plus) + xlogy(gamma_minus, gamma_minus))
+    # Subtracting from 0.0 rather than negating keeps E(0) = 0 from coming out as -0.
+    entropy = 0.0 - (_xlogx(gamma_plus) + _xlogx(gamma_minus))
     return entropy / np.log(2.0)
+
+
+def _xlogx(p):
+    """p log p for p >= 0, with the continuous extension 0 log 0 = 0."""
+    return p * np.log(p + (p == 0.0))
 
 
 def bell_mean(x):
@@ -179,14 +184,21 @@ def bisect_root(f, lo: float, hi: float, ftol: float = 1e-12, max_iter: int = 20
 
 
 def scan_roots(f, lo: float = 0.0, hi: float = 2.0 * np.pi, samples: int = 10_000, ftol: float = 1e-12) -> list[float]:
-    """All sign-change roots of f on [lo, hi], bracketed by a uniform scan
-    and polished by bisection."""
+    """All sign-change roots of a vectorized f inside [lo, hi], in order.
+
+    f is evaluated once on a uniform grid. A sign change between two grid
+    points is polished by bisection; an interior grid point where f is
+    exactly zero and the sign flips across it is returned as is. Zeros at
+    lo or hi are not sign changes and are not returned.
+    """
     grid = np.linspace(lo, hi, samples)
-    values = np.array([f(g) for g in grid])
-    roots = []
-    for k in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
-        roots.append(bisect_root(f, grid[k], grid[k + 1], ftol=ftol))
-    return roots
+    sign = np.sign(f(grid))
+    roots = [
+        bisect_root(f, grid[k], grid[k + 1], ftol=ftol)
+        for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    ]
+    on_grid = np.nonzero((sign[1:-1] == 0) & (sign[:-2] * sign[2:] < 0))[0] + 1
+    return sorted(roots + [float(grid[k]) for k in on_grid])
 
 
 def _window(f) -> tuple[float, float]:

@@ -26,6 +26,12 @@ SPIN_SITE_1 = tuple(np.kron(0.5 * s, IDENTITY_2) for s in PAULI)
 SPIN_SITE_2 = tuple(np.kron(IDENTITY_2, 0.5 * s) for s in PAULI)
 TOTAL_SZ = SPIN_SITE_1[2] + SPIN_SITE_2[2]
 
+# All sixteen two-site Pauli products: PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j
+# with sigma_0 = I. They are an orthogonal basis of the 4x4 matrices with
+# tr(PAULI_PRODUCTS[i, j] PAULI_PRODUCTS[k, l]) = 4 delta_ik delta_jl.
+_PAULI_WITH_IDENTITY = (IDENTITY_2,) + PAULI
+PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in _PAULI_WITH_IDENTITY] for s in _PAULI_WITH_IDENTITY])
+
 _E = np.eye(4, dtype=complex)
 TRIPLET_PLUS = _E[:, 0].copy()                        # |00>, (s, m) = (1, +1)
 TRIPLET_ZERO = (_E[:, 1] + _E[:, 2]) / np.sqrt(2.0)   # (1, 0)
@@ -199,15 +205,16 @@ class FanoVector:
 def fano_decompose(rho: np.ndarray, atol: float = 1e-12) -> FanoVector:
     """Bloch vectors and correlation tensor of a valid density matrix."""
     rho = require_density_matrix(rho)
-    a = np.array([np.trace(rho @ np.kron(s, IDENTITY_2)).real for s in PAULI])
-    b = np.array([np.trace(rho @ np.kron(IDENTITY_2, s)).real for s in PAULI])
-    tensor = np.array(
-        [[np.trace(rho @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI]
-    )
+    # coeffs[i, j] = tr(rho sigma_i (x) sigma_j), sigma_0 = I. Each Pauli
+    # product has one nonzero entry per row, so the inner sum is exact, and
+    # the outer sum runs in index order like a matrix trace: the values
+    # match np.trace(rho @ np.kron(sigma_i, sigma_j)) bit for bit.
+    coeffs = np.einsum("ijab,ba->ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
+    tensor = coeffs[1:, 1:]
     off = tensor - np.diag(np.diag(tensor))
     return FanoVector(
-        a=a,
-        b=b,
+        a=coeffs[1:, 0],
+        b=coeffs[0, 1:],
         c=np.diag(tensor).copy(),
         tensor=tensor,
         diagonal=bool(np.max(np.abs(off)) <= atol),
@@ -217,13 +224,12 @@ def fano_decompose(rho: np.ndarray, atol: float = 1e-12) -> FanoVector:
 def fano_reconstruct(fano: FanoVector) -> np.ndarray:
     """Rebuild the density matrix from its Pauli decomposition (exact for
     any state, since the full correlation tensor is kept)."""
-    rho = IDENTITY_4.copy()
-    for i, s in enumerate(PAULI):
-        rho += fano.a[i] * np.kron(s, IDENTITY_2)
-        rho += fano.b[i] * np.kron(IDENTITY_2, s)
-        for j, t in enumerate(PAULI):
-            rho += fano.tensor[i, j] * np.kron(s, t)
-    return rho / 4.0
+    coeffs = np.empty((4, 4))
+    coeffs[0, 0] = 1.0
+    coeffs[1:, 0] = fano.a
+    coeffs[0, 1:] = fano.b
+    coeffs[1:, 1:] = fano.tensor
+    return np.einsum("ij,ijab->ab", coeffs, PAULI_PRODUCTS) / 4.0
 
 
 def bell_diagonal_state(c: np.ndarray) -> np.ndarray:

@@ -262,6 +262,14 @@ class TestArgumentErrors:
         assert main(["frobnicate"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import spindimer.cli, sys; sys.exit('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "s.csv"
         proc = subprocess.run(

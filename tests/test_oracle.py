@@ -3,9 +3,9 @@ import pytest
 
 from spindimer.oracle import (
     MeasurementBasis,
+    _dephasing_residual,
     chsh_direct_search,
     chsh_max,
-    correlation_matrix,
     correlation_oracle,
     measurement_dephase,
     random_bell_diagonal_state,
@@ -17,6 +17,8 @@ from spindimer.oracle import (
 )
 from spindimer.quantifiers import TSIRELSON_BOUND
 from spindimer.spin_core import (
+    IDENTITY_2,
+    PAULI,
     DimerModel,
     SINGLET,
     bell_diagonal_state,
@@ -27,6 +29,28 @@ from spindimer.spin_core import (
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 KET_00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+
+
+def random_directions(rng, count):
+    n = rng.standard_normal((count, 3))
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
+
+
+def angles(n):
+    """(theta, phi) of a unit vector, in the ranges MeasurementBasis accepts."""
+    return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]) % (2.0 * np.pi))
+
+
+def explicit_trace_norms(rho, n):
+    """||rho - sum_+- E rho E||_1 with E = P_+-(n) (x) I built as explicit
+    4x4 projectors, for each row of n."""
+    n_sigma = np.einsum("ki,iab->kab", n, np.stack(PAULI))
+    residual = np.broadcast_to(rho, (len(n), 4, 4)).copy()
+    for sign in (1.0, -1.0):
+        p = 0.5 * (IDENTITY_2 + sign * n_sigma)
+        e = np.einsum("kab,cd->kacbd", p, IDENTITY_2).reshape(-1, 4, 4)
+        residual -= e @ rho @ e
+    return np.linalg.svd(residual, compute_uv=False).sum(axis=-1)
 
 
 class TestMeasurementBasis:
@@ -171,6 +195,38 @@ class TestTraceNormDiscord:
         with pytest.raises(ValueError, match="method"):
             trace_norm_discord(MIXED, "entropic")
 
+    def test_pauli_residual_matches_explicit_dephasing(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            fano = fano_decompose(rho)
+            n = random_directions(rng, 10)
+            residual = _dephasing_residual(fano, n)
+            for nk, rk in zip(n, residual):
+                theta, phi = angles(nk)
+                assert np.max(np.abs(rk - (rho - measurement_dephase(rho, theta, phi)))) < 1e-14
+
+    def test_numerical_min_is_below_every_explicit_direction(self):
+        rng = np.random.default_rng(12)
+        n = random_directions(rng, 2000)
+        theta, phi = angles(n[0])
+        rho = random_density_matrix(rng)
+        assert explicit_trace_norms(rho, n[:1])[0] == pytest.approx(
+            trace_norm(rho - measurement_dephase(rho, theta, phi)), abs=1e-14
+        )
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            assert trace_norm_discord(rho, "numerical_min") <= np.min(explicit_trace_norms(rho, n)) + 1e-12
+
+    def test_numerical_min_equals_concurrence_on_pure_states(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            rho = projector(psi / np.linalg.norm(psi))
+            assert trace_norm_discord(rho, "numerical_min") == pytest.approx(
+                wootters_concurrence(rho), abs=1e-6
+            )
+
     def test_trace_norm_is_sum_of_singular_values(self):
         m = np.diag([3.0, -2.0, 0.0, 1.0]).astype(complex)
         assert trace_norm(m) == pytest.approx(6.0, abs=1e-12)
@@ -195,10 +251,11 @@ class TestCorrelationOracle:
         with pytest.raises(ValueError, match="cross-axis"):
             correlation_oracle(projector(np.kron(plus, up)))
 
-    def test_full_correlation_matrix_matches_fano_tensor(self):
+    def test_fano_tensor_matches_direct_traces(self):
         rng = np.random.default_rng(10)
         rho = random_density_matrix(rng)
-        assert np.max(np.abs(correlation_matrix(rho) - fano_decompose(rho).tensor)) < 1e-14
+        direct = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI])
+        assert np.max(np.abs(fano_decompose(rho).tensor - direct)) < 1e-14
 
 
 class TestRandomStates:

@@ -14,6 +14,7 @@ from spindimer.quantifiers import (
     evaluate_quantifiers,
     geometric_discord,
     real_correlation,
+    scan_roots,
     signed_concurrence,
     susceptibility,
     witness,
@@ -129,6 +130,10 @@ class TestEntanglementOfFormation:
         assert entanglement_of_formation(1.0) == 1.0
         assert entanglement_of_formation(0.0) == 0.0
 
+    def test_zero_concurrence_is_not_negative_zero(self):
+        assert not np.signbit(entanglement_of_formation(0.0))
+        assert not np.any(np.signbit(entanglement_of_formation(np.zeros(3))))
+
     def test_half_concurrence(self):
         assert abs(entanglement_of_formation(0.5) - EOF_AT_HALF_CONCURRENCE) < 1e-9
 
@@ -217,3 +222,13 @@ class TestRootFinding:
     def test_bisection_requires_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
             bisect_root(witness, 0.1, 0.2)
+
+    def test_scan_returns_a_root_on_a_grid_point(self):
+        # The grid is 0, 0.5, ..., 2.0, so f is exactly zero at the grid point 1.0.
+        assert scan_roots(lambda x: x - 1.0, lo=0.0, hi=2.0, samples=5) == [1.0]
+        assert scan_roots(lambda x: (x - 1.0) * (x - 1.8), lo=0.0, hi=2.0, samples=5) == pytest.approx(
+            [1.0, 1.8], abs=1e-11
+        )
+
+    def test_scan_ignores_zeros_at_the_ends(self):
+        assert scan_roots(lambda x: np.sin(x), lo=0.0, hi=np.pi, samples=101) == []
