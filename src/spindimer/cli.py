@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,12 +21,11 @@ import numpy as np
 from . import verify
 from .quantifiers import (
     QUANTIFIER_FUNCTIONS,
-    entanglement_of_formation,
+    quantifier_table,
     susceptibility,
     witness_from_susceptibility,
-    TSIRELSON_BOUND,
 )
-from .scattering import ScatteringInput
+from .scattering import ScatteringInput, scattering_phases
 from .spin_core import DimerModel, thermal_state
 from .oracle import correlation_oracle
 
@@ -35,7 +37,9 @@ QUANTIFIER_NAMES = tuple(QUANTIFIER_FUNCTIONS)
 
 SCALAR_HEADER = ["x_rad", "S"]
 VECTOR_HEADER = ["qx", "qy", "qz", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "S"]
-OUTPUT_COLUMNS = ["ReC", "witness", "concurrence", "eof", "bell", "discord_verbatim", "discord_figure"]
+OUTPUT_COLUMNS = [name for name in QUANTIFIER_NAMES if name != "S"]  # ingest echoes the measured S
+# Rows formatted and written per write() call by the CSV writers.
+ROWS_PER_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -65,23 +69,44 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+@contextmanager
+def _replaced_on_success(path: Path):
+    """Text handle on a sibling temp file that replaces `path` on a clean exit.
+
+    On any exception the temp file is deleted and `path` is left as it was,
+    so an interrupted run never leaves a half-written output.
+    """
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+    try:
+        with tmp.open("x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(fh, table: np.ndarray) -> None:
+    """Write a 2-D float table as %.17g CSV rows, ROWS_PER_CHUNK rows per write."""
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    chunk_format = row_format * ROWS_PER_CHUNK
+    for start in range(0, len(table), ROWS_PER_CHUNK):
+        chunk = table[start:start + ROWS_PER_CHUNK]
+        text_format = chunk_format if len(chunk) == ROWS_PER_CHUNK else row_format * len(chunk)
+        fh.write(text_format % tuple(chunk.ravel().tolist()))
+
+
 def run_sweep(config: SweepConfig) -> None:
     xs = np.linspace(config.x_from, config.x_to, config.samples)
-    columns = {
-        name: np.asarray(QUANTIFIER_FUNCTIONS[name](xs), dtype=float)
-        for name in config.quantifiers
-    }
-    if config.fmt == "csv":
-        lines = [",".join(["x", *config.quantifiers])]
-        for k, x in enumerate(xs):
-            lines.append(",".join([_fmt(float(x))] + [_fmt(float(columns[n][k])) for n in config.quantifiers]))
-        config.out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    else:
-        rows = [
-            {"x": float(x), **{n: float(columns[n][k]) for n in config.quantifiers}}
-            for k, x in enumerate(xs)
-        ]
-        config.out.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8", newline="\n")
+    table = np.column_stack([xs] + [QUANTIFIER_FUNCTIONS[name](xs) for name in config.quantifiers])
+    names = ["x", *config.quantifiers]
+    with _replaced_on_success(config.out) as fh:
+        if config.fmt == "csv":
+            fh.write(",".join(names) + "\n")
+            _write_rows(fh, table)
+        else:
+            rows = [dict(zip(names, row)) for row in table.tolist()]
+            fh.write(json.dumps(rows, indent=2) + "\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -176,77 +201,71 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _ingest_row(mode: str, values: list[float]) -> dict:
-    if mode == "scalar":
-        x, s_measured = values
-    else:
-        q, r1, r2 = np.array(values[0:3]), np.array(values[3:6]), np.array(values[6:9])
-        x = float(np.dot(q, r1 - r2))
-        s_measured = values[9]
-    if not np.isfinite(x):
-        raise ValueError("phase is not finite")
-    if not 0.0 <= s_measured <= 1.0:
-        raise ValueError(f"S = {s_measured:g} out of range [0, 1]")
-    re_c = float(np.cos(x)) * s_measured
-    conc = max(0.0, -0.5 * (1.0 + 3.0 * re_c))
-    return {
-        "x_rad": x,
-        "ReC": re_c,
-        "witness": 2.0 + 3.0 * re_c,
-        "concurrence": conc,
-        "eof": float(entanglement_of_formation(conc)),
-        "bell": TSIRELSON_BOUND * s_measured,
-        "discord_verbatim": 0.5 * s_measured,
-        "discord_figure": 0.5 * abs(re_c),
-    }
+def _csv_line(cells: list[str]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow(cells)
+    return buffer.getvalue()
 
 
 def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     """Process a measured-data file; returns (accepted, rejected) counts.
 
     Accepted rows are echoed with the derived quantifiers appended; rejected
-    rows go to `<out>.rejects.csv` with their input line number and reason.
+    rows go to `<out>.rejects.csv` with their input line number, the reason
+    and the row's cells as one CSV-encoded field. A run without rejects
+    removes any rejects file an earlier run left.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
+    rejected: list[tuple[int, str, list[str]]] = []
+    parsed_lines: list[int] = []
+    parsed_cells: list[list[str]] = []
+    values: list[float] = []
     with input_path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != header:
-        raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != header:
+            raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
+        for line_no, row in enumerate(reader, start=2):  # file line numbers; header is line 1
+            if len(row) != len(header):
+                rejected.append((line_no, f"expected {len(header)} fields, got {len(row)}", row))
+                continue
+            try:
+                row_values = [float(cell) for cell in row]
+            except ValueError:
+                rejected.append((line_no, "non-numeric field", row))
+                continue
+            values += row_values
+            parsed_lines.append(line_no)
+            parsed_cells.append(row)
 
-    accepted: list[list[str]] = []
-    rejected: list[tuple[int, str, str]] = []
-    for index, row in enumerate(rows[1:], start=2):  # file line numbers; header is line 1
-        raw = ",".join(row)
-        if len(row) != len(header):
-            rejected.append((index, f"expected {len(header)} fields, got {len(row)}", raw))
-            continue
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            rejected.append((index, "non-numeric field", raw))
-            continue
-        try:
-            derived = _ingest_row(mode, values)
-        except ValueError as exc:
-            rejected.append((index, str(exc), raw))
-            continue
-        out_row = [_fmt(v) for v in values]
-        if mode == "vector":
-            out_row.append(_fmt(derived["x_rad"]))
-        out_row += [_fmt(derived[c]) for c in OUTPUT_COLUMNS]
-        accepted.append(out_row)
+    table = np.array(values, dtype=float).reshape(-1, len(header))
+    s = table[:, -1]
+    x = table[:, 0] if mode == "scalar" else scattering_phases(table[:, 0:3], table[:, 3:6], table[:, 6:9])
+    phase_ok = np.isfinite(x)
+    with np.errstate(invalid="ignore"):
+        ok = phase_ok & (s >= 0.0) & (s <= 1.0)
+    for k in np.flatnonzero(~ok).tolist():
+        reason = "phase is not finite" if not phase_ok[k] else f"S = {float(s[k]):g} out of range [0, 1]"
+        rejected.append((parsed_lines[k], reason, parsed_cells[k]))
+    rejected.sort()  # by line number, which is unique
 
+    derived = quantifier_table(x[ok], s[ok])
+    echoed = [table[ok]] + ([x[ok]] if mode == "vector" else [])
+    output = np.column_stack(echoed + [derived[name] for name in OUTPUT_COLUMNS])
     out_header = list(header) + (["x_rad"] if mode == "vector" else []) + OUTPUT_COLUMNS
-    lines = [",".join(out_header)] + [",".join(r) for r in accepted]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
-    if rejected:
-        reject_lines = ["line,reason,row"]
-        for line_no, reason, raw in rejected:
-            reject_lines.append(f'{line_no},"{reason}","{raw}"')
-        rejects_path.write_text("\n".join(reject_lines) + "\n", encoding="utf-8", newline="\n")
-    return len(accepted), len(rejected)
+    with _replaced_on_success(out_path) as fh:
+        fh.write(",".join(out_header) + "\n")
+        _write_rows(fh, output)
+        # Inside the output's block: a failure while writing rejects discards the new output too.
+        if rejected:
+            with _replaced_on_success(rejects_path) as rejects_fh:
+                writer = csv.writer(rejects_fh, lineterminator="\n")
+                writer.writerow(["line", "reason", "row"])
+                writer.writerows((line_no, reason, _csv_line(cells)) for line_no, reason, cells in rejected)
+        else:
+            rejects_path.unlink(missing_ok=True)
+    return len(output), len(rejected)
 
 
 def _cmd_ingest(args) -> int:

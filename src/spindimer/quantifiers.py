@@ -65,7 +65,12 @@ def signed_concurrence(x):
 
 def concurrence(x):
     """Two-qubit concurrence max(0, -(1 + 3 Re C(x))/2), in [0, 1]."""
-    return np.maximum(0.0, signed_concurrence(x))
+    return _clip_at_zero(signed_concurrence(x))
+
+
+def _clip_at_zero(value):
+    # np.maximum may return either zero when both are zeros; adding 0.0 turns -0 into 0.
+    return np.maximum(0.0, value) + 0.0
 
 
 def entanglement_of_formation(conc):
@@ -127,6 +132,32 @@ QUANTIFIER_FUNCTIONS = {
     "discord_verbatim": lambda x: geometric_discord(x, "verbatim"),
     "discord_figure": lambda x: geometric_discord(x, "figure-consistent"),
 }
+
+
+def quantifier_table(x, s) -> dict[str, np.ndarray]:
+    """Every quantifier derived from S, at phases x for structure factors s.
+
+    The closed forms depend on the phase only through cos x and S, so a
+    measured S (`ingest`) goes through the same formulas as the theoretical
+    S(x). With s = S(x), each column equals the `QUANTIFIER_FUNCTIONS` entry
+    of the same name bit for bit: cos(x) * S is exactly the real part of
+    exp(-ix) S. Keys follow `QUANTIFIER_FUNCTIONS` without "S"; s must lie
+    in [0, 1], which keeps the concurrence inside the range of
+    `entanglement_of_formation`.
+    """
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    re_c = np.cos(x) * s
+    conc = _clip_at_zero(-0.5 * (1.0 + 3.0 * re_c))
+    return {
+        "ReC": re_c,
+        "witness": 2.0 + 3.0 * re_c,
+        "concurrence": conc,
+        "eof": entanglement_of_formation(conc),
+        "bell": TSIRELSON_BOUND * s,
+        "discord_verbatim": 0.5 * s,
+        "discord_figure": 0.5 * np.abs(re_c),
+    }
 
 
 @dataclass(frozen=True)

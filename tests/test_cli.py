@@ -1,13 +1,27 @@
+import csv
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from spindimer import cli
 from spindimer.cli import main
+from spindimer.scattering import scattering_phase
 
 TWO_PI = 2.0 * np.pi
+# Golden outputs written by the row-at-a-time implementation this CSV path replaced.
+DATA = Path(__file__).parent / "data"
+
+
+def read_rejects(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 def read_csv(path):
@@ -96,6 +110,29 @@ class TestSweep:
     def test_unwritable_output_is_an_io_failure(self, tmp_path):
         code = main(["sweep", "--samples", "3", "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 2
+
+    def test_directory_as_output_is_an_io_failure_and_leaves_no_temp_file(self, tmp_path):
+        assert main(["sweep", "--samples", "3", "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_all_quantifier_sweep_matches_golden_bytes(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--samples", "2001", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "sweep_2001.golden.csv").read_bytes()
+
+    def test_interrupted_write_keeps_the_old_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+
+        def write_then_fail(fh, table):
+            fh.write("partial")
+            raise OSError("device full")
+
+        assert main(["sweep", "--samples", "50", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        monkeypatch.setattr(cli, "_write_rows", write_then_fail)
+        assert main(["sweep", "--samples", "7", "--out", str(out)]) == 2
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 class TestReport:
@@ -239,6 +276,110 @@ class TestIngest:
     def test_missing_input_is_an_io_failure(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "none.csv"), "--mode", "scalar",
                      "--out", str(tmp_path / "out.csv")]) == 2
+
+
+    @pytest.mark.parametrize("mode", ["scalar", "vector"])
+    def test_output_matches_golden_bytes_and_rejects(self, tmp_path, mode):
+        out = tmp_path / "out.csv"
+        assert main(["ingest", "--input", str(DATA / f"ingest_{mode}.csv"), "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"ingest_{mode}.golden.csv").read_bytes()
+        got = read_rejects(tmp_path / "out.csv.rejects.csv")
+        want = read_rejects(DATA / f"ingest_{mode}.golden.rejects.csv")
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+
+    def test_rejected_cells_read_back_exactly(self, tmp_path):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        self.write(src, 'x_rad,S\n"2,0",0.3\n3.0,"a""b"\n,0.5\n1.0,0.5\n""\n')
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+        rejects = read_rejects(tmp_path / "out.csv.rejects.csv")
+        assert rejects[0] == ["line", "reason", "row"]
+        assert [(line, reason) for line, reason, _ in rejects[1:]] == [
+            ("2", "non-numeric field"), ("3", "non-numeric field"), ("4", "non-numeric field"),
+            ("6", "expected 2 fields, got 1"),
+        ]
+        cells = [next(csv.reader([row])) for _, _, row in rejects[1:]]
+        assert cells == [["2,0", "0.3"], ["3.0", 'a"b'], ["", "0.5"], [""]]
+
+    def test_run_without_rejects_removes_the_old_rejects_file(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        rejects = tmp_path / "out.csv.rejects.csv"
+        argv = ["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]
+        self.write(src, "x_rad,S\n1.0,0.5\n1.0,bad\n")
+        assert main(argv) == 0
+        assert rejects.exists()
+        self.write(src, "x_rad,S\n1.0,0.5\n")
+        assert main(argv) == 0
+        assert not rejects.exists()
+        assert "accepted 1 rows, rejected 0 rows" in capsys.readouterr().out.splitlines()[-1]
+
+    @pytest.mark.parametrize("error", [OSError, RuntimeError])
+    def test_interrupted_write_keeps_old_outputs(self, tmp_path, monkeypatch, error):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        argv = ["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]
+        self.write(src, "x_rad,S\n1.0,0.5\n2.0,0.25\n1.0,bad\n")
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self.write(src, "x_rad,S\n" + "0.5,0.5\n" * 50)
+        write_rows = cli._write_rows
+
+        def write_some_rows_then_fail(fh, table):
+            write_rows(fh, table[:10])
+            raise error("interrupted")
+
+        monkeypatch.setattr(cli, "_write_rows", write_some_rows_then_fail)
+        if error is OSError:
+            assert main(argv) == 2
+        else:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == {
+            name: data for name, data in before.items() if name != "in.csv"
+        }
+
+    def test_unwritable_output_is_an_io_failure(self, tmp_path):
+        src = tmp_path / "in.csv"
+        self.write(src, "x_rad,S\n1.0,0.5\n")
+        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+            assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+    def test_vector_phase_equals_scattering_phase_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        geometry = rng.uniform(-10.0, 10.0, (2000, 9)) * 10.0 ** rng.integers(-3, 4, (2000, 1))
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        lines = [",".join(cli.VECTOR_HEADER)] + [",".join(map(repr, row)) + ",0.5" for row in geometry.tolist()]
+        self.write(src, "\n".join(lines) + "\n")
+        assert main(["ingest", "--input", str(src), "--mode", "vector", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        x_rad = [row[header.index("x_rad")] for row in rows]
+        assert x_rad == [scattering_phase(g[0:3], g[3:6], g[6:9]) for g in geometry]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=1e-6, max_value=100.0),
+    st.integers(min_value=2, max_value=300),
+)
+def test_ingesting_the_theoretical_structure_factor_reproduces_the_sweep(x_from, width, samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep_out, ingest_in, ingest_out = (Path(tmp) / name for name in ("s.csv", "in.csv", "out.csv"))
+        assert main(["sweep", f"--from={x_from!r}", f"--to={x_from + width!r}", "--samples", str(samples),
+                     "--out", str(sweep_out)]) == 0
+        sweep_lines = sweep_out.read_text(encoding="utf-8").splitlines()
+        ingest_in.write_text(
+            "\n".join(["x_rad,S"] + [",".join(line.split(",")[:2]) for line in sweep_lines[1:]]) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["ingest", "--input", str(ingest_in), "--mode", "scalar", "--out", str(ingest_out)]) == 0
+        ingest_lines = ingest_out.read_text(encoding="utf-8").splitlines()
+        assert ingest_lines[0] == "x_rad," + sweep_lines[0].split(",", 1)[1]
+        assert ingest_lines[1:] == sweep_lines[1:]
 
 
 class TestVerify:

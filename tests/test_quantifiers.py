@@ -4,6 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from spindimer.quantifiers import (
+    QUANTIFIER_FUNCTIONS,
     TSIRELSON_BOUND,
     bell_mean,
     bell_violation_window,
@@ -13,6 +14,7 @@ from spindimer.quantifiers import (
     entanglement_of_formation,
     evaluate_quantifiers,
     geometric_discord,
+    quantifier_table,
     real_correlation,
     scan_roots,
     signed_concurrence,
@@ -21,6 +23,7 @@ from spindimer.quantifiers import (
     witness_from_susceptibility,
     witness_window,
 )
+from spindimer.scattering import scalar_structure_factor
 from spindimer.spin_core import DimerModel
 
 TWO_PI = 2.0 * np.pi
@@ -212,6 +215,22 @@ class TestSymmetryAndReport:
     def test_report_as_dict_key_order(self):
         keys = list(evaluate_quantifiers(1.0).as_dict())
         assert keys == ["x", "S", "ReC", "witness", "concurrence", "eof", "bell", "discord_verbatim", "discord_figure"]
+
+
+class TestQuantifierTable:
+    def test_theoretical_structure_factor_reproduces_phase_functions_bit_for_bit(self):
+        x = np.random.default_rng(11).uniform(-50.0, 50.0, 20_000)
+        x[:4] = (0.0, np.pi / 2.0, np.pi, TWO_PI)
+        table = quantifier_table(x, scalar_structure_factor(x))
+        assert list(table) == [name for name in QUANTIFIER_FUNCTIONS if name != "S"]
+        for name, column in table.items():
+            assert column.tobytes() == np.asarray(QUANTIFIER_FUNCTIONS[name](x), dtype=float).tobytes(), name
+
+    def test_concurrence_clipped_at_exactly_zero_is_not_negative_zero(self):
+        # cos(pi) = -1 exactly, so Re C = -1/3 and 1 + 3 Re C rounds to exactly 0.
+        table = quantifier_table(np.array([np.pi]), np.array([1.0 / 3.0]))
+        assert table["concurrence"][0] == 0.0 and not np.signbit(table["concurrence"][0])
+        assert table["eof"][0] == 0.0
 
 
 class TestRootFinding:
