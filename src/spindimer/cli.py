@@ -25,7 +25,7 @@ from .quantifiers import (
     susceptibility,
     witness_from_susceptibility,
 )
-from .scattering import ScatteringInput, scattering_phases
+from .scattering import scattering_phase, scattering_phases
 from .spin_core import DimerModel, thermal_state
 from .oracle import correlation_oracle
 
@@ -148,8 +148,7 @@ def build_point_report(x: float, coupling: float, g: float, temperature: float |
 
 def _format_report_text(report: dict) -> str:
     lines = [f"{'x':<17}= {_fmt(report['x'])}", f"{'x mod 2pi':<17}= {_fmt(report['x'] % (2.0 * np.pi))}"]
-    for key in ("S", "ReC", "witness", "concurrence", "eof", "bell", "discord_verbatim", "discord_figure"):
-        lines.append(f"{key:<17}= {_fmt(report[key])}")
+    lines += [f"{key:<17}= {_fmt(report[key])}" for key in QUANTIFIER_NAMES]
     lines.append("oracle (implied-state brute force):")
     for key, value in report["oracle"].items():
         lines.append(f"  {key:<22}= {_fmt(value)}")
@@ -181,19 +180,18 @@ def _cmd_report(args) -> int:
         raise ValueError("give either --x or --q/--r1/--r2, not both")
     if args.x is not None:
         x = args.x * (np.pi / 180.0 if args.degrees else 1.0)
-        point = ScatteringInput(x=x)
     elif args.q is not None:
         if args.r1 is None or args.r2 is None:
             raise ValueError("--q requires --r1 and --r2")
-        point = ScatteringInput(
-            q=_parse_triple(args.q, "--q"),
-            r1=_parse_triple(args.r1, "--r1"),
-            r2=_parse_triple(args.r2, "--r2"),
+        x = scattering_phase(
+            _parse_triple(args.q, "--q"),
+            _parse_triple(args.r1, "--r1"),
+            _parse_triple(args.r2, "--r2"),
         )
     else:
         raise ValueError("one of --x or --q/--r1/--r2 is required")
 
-    report = build_point_report(point.phase, args.coupling, args.g, args.temperature)
+    report = build_point_report(x, args.coupling, args.g, args.temperature)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -207,13 +205,30 @@ def _csv_line(cells: list[str]) -> str:
     return buffer.getvalue()
 
 
+def _records(reader):
+    """(file line the record starts on, cells) for each record of a csv.reader.
+
+    A quoted cell may span lines, so the line comes from `reader.line_num`,
+    not from counting records. A record csv cannot parse is a ValueError.
+    """
+    start = 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"unreadable CSV record on line {start}: {exc}") from None
+
+
 def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     """Process a measured-data file; returns (accepted, rejected) counts.
 
     Accepted rows are echoed with the derived quantifiers appended; rejected
-    rows go to `<out>.rejects.csv` with their input line number, the reason
-    and the row's cells as one CSV-encoded field. A run without rejects
-    removes any rejects file an earlier run left.
+    rows go to `<out>.rejects.csv` with the file line their record starts on,
+    the reason and the row's cells as one CSV-encoded field. A run without
+    rejects removes any rejects file an earlier run left. A record the CSV
+    parser cannot read (an over-long cell, say) fails the whole run before
+    anything is written.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     rejected: list[tuple[int, str, list[str]]] = []
@@ -221,11 +236,11 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     parsed_cells: list[list[str]] = []
     values: list[float] = []
     with input_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+        records = _records(csv.reader(fh))
+        _, first = next(records, (1, None))
         if first is None or [c.strip() for c in first] != header:
             raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
-        for line_no, row in enumerate(reader, start=2):  # file line numbers; header is line 1
+        for line_no, row in records:
             if len(row) != len(header):
                 rejected.append((line_no, f"expected {len(header)} fields, got {len(row)}", row))
                 continue
@@ -280,9 +295,9 @@ def _cmd_verify(args) -> int:
     report = verify.run_all_checks()
     print(report.format_text())
     if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
+        with _replaced_on_success(Path(args.json)) as fh:
+            json.dump(report.as_dict(), fh, indent=2)
+            fh.write("\n")
     return EXIT_OK if report.all_pass else EXIT_VALIDATION
 
 

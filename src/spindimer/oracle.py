@@ -7,8 +7,6 @@ disagree with each other, to adjudicate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spin_core import (
@@ -51,42 +49,17 @@ BELL_STATES = (
 )
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective measurement direction on subsystem 1, on the Bloch sphere."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ValueError("phi must lie in [0, 2 pi)")
-
-    @property
-    def direction(self) -> np.ndarray:
-        return np.array(
-            [
-                np.sin(self.theta) * np.cos(self.phi),
-                np.sin(self.theta) * np.sin(self.phi),
-                np.cos(self.theta),
-            ]
-        )
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthogonal rank-1 projectors onto +/- the measurement direction."""
-        n_sigma = sum(n * s for n, s in zip(self.direction, PAULI))
-        return 0.5 * (IDENTITY_2 + n_sigma), 0.5 * (IDENTITY_2 - n_sigma)
-
-
 def trace_norm(matrix: np.ndarray) -> float:
     """Schatten 1-norm: sum of singular values."""
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
 
 
 def measurement_dephase(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """Dephasing of rho under the subsystem-1 measurement along (theta, phi)."""
+    """Dephasing of rho under the subsystem-1 measurement along (theta, phi).
+
+    Built from explicit 4x4 projectors; it is the reference the Pauli-space
+    `_dephasing_residual` is tested against.
+    """
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     n_sigma = sum(ni * s for ni, s in zip(n, PAULI))
     e0 = np.kron(0.5 * (IDENTITY_2 + n_sigma), IDENTITY_2)

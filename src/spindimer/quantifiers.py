@@ -8,7 +8,7 @@ correlation Re C(x). The independent density-matrix checks live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, make_dataclass
 
 import numpy as np
 
@@ -160,37 +160,20 @@ def quantifier_table(x, s) -> dict[str, np.ndarray]:
     }
 
 
-@dataclass(frozen=True)
-class QuantifierReport:
-    """All closed-form quantifiers evaluated at one scattering phase."""
-
-    x: float
-    S: float
-    ReC: float
-    witness: float
-    concurrence: float
-    eof: float
-    bell: float
-    discord_verbatim: float
-    discord_figure: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+QuantifierReport = make_dataclass(
+    "QuantifierReport",
+    [(name, float) for name in ("x", *QUANTIFIER_FUNCTIONS)],
+    namespace={
+        "__doc__": "Every `QUANTIFIER_FUNCTIONS` entry evaluated at one scattering phase x.",
+        "__module__": __name__,
+        "as_dict": asdict,
+    },
+    frozen=True,
+)
 
 
 def evaluate_quantifiers(x: float) -> QuantifierReport:
-    conc = concurrence(x)
-    return QuantifierReport(
-        x=float(x),
-        S=float(scalar_structure_factor(x)),
-        ReC=float(real_correlation(x)),
-        witness=float(witness(x)),
-        concurrence=float(conc),
-        eof=float(entanglement_of_formation(conc)),
-        bell=float(bell_mean(x)),
-        discord_verbatim=float(geometric_discord(x, "verbatim")),
-        discord_figure=float(geometric_discord(x, "figure-consistent")),
-    )
+    return QuantifierReport(float(x), *(float(f(x)) for f in QUANTIFIER_FUNCTIONS.values()))
 
 
 def bisect_root(f, lo: float, hi: float, ftol: float = 1e-12, max_iter: int = 200) -> float:

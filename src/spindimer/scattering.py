@@ -6,8 +6,6 @@ x = q . (r1 - r2); vector inputs are reduced to x immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spin_core import (
@@ -26,7 +24,11 @@ def _finite(x, name: str = "x"):
 
 
 def scattering_phase(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> float:
-    """Scalar phase q . (r1 - r2) from an explicit scattering geometry."""
+    """Scalar phase q . (r1 - r2) from an explicit scattering geometry.
+
+    r1 and r2 are the positions of the two magnetic centers, in the inverse
+    of the unit of the wave vector q.
+    """
     q = _finite(q, "q")
     r1 = _finite(r1, "r1")
     r2 = _finite(r2, "r2")
@@ -45,40 +47,6 @@ def scattering_phases(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarr
     """
     with np.errstate(invalid="ignore", over="ignore"):
         return np.matmul(q[:, None, :], (r1 - r2)[:, :, None])[:, 0, 0]
-
-
-@dataclass(frozen=True)
-class ScatteringInput:
-    """A diffraction point, given either as the phase x or as (q, r1, r2)."""
-
-    x: float | None = None
-    q: np.ndarray | None = None
-    r1: np.ndarray | None = None
-    r2: np.ndarray | None = None
-
-    def __post_init__(self):
-        vector_mode = self.q is not None or self.r1 is not None or self.r2 is not None
-        if self.x is not None and vector_mode:
-            raise ValueError("give either x or (q, r1, r2), not both")
-        if self.x is None:
-            if self.q is None or self.r1 is None or self.r2 is None:
-                raise ValueError("vector mode needs all of q, r1 and r2")
-            object.__setattr__(self, "q", _finite(self.q, "q"))
-            object.__setattr__(self, "r1", _finite(self.r1, "r1"))
-            object.__setattr__(self, "r2", _finite(self.r2, "r2"))
-        else:
-            object.__setattr__(self, "x", float(_finite(self.x, "x")))
-
-    @property
-    def phase(self) -> float:
-        if self.x is not None:
-            return self.x
-        return scattering_phase(self.q, self.r1, self.r2)
-
-    @property
-    def phase_mod_2pi(self) -> float:
-        """Reduced phase for display; computations always use the raw phase."""
-        return float(np.mod(self.phase, 2.0 * np.pi))
 
 
 def scalar_structure_factor(x):

@@ -7,7 +7,7 @@ energies are in units of the exchange coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -73,31 +73,17 @@ class DimerModel:
     """Physical configuration of the dimer.
 
     coupling is the exchange constant J; positive J puts the singlet at the
-    bottom of the spectrum. r1 and r2 are the positions of the two magnetic
-    centers (any length unit, as long as it is the inverse of the wave-vector
-    unit). g is the Lande factor; the Bohr magneton is 1 in natural units.
-    The ion count and spin are fixed by the model and not configurable.
+    bottom of the spectrum. g is the Lande factor; the Bohr magneton is 1 in
+    natural units. The ion count and spin are fixed by the model and not
+    configurable. The site positions are not part of the model: they enter
+    only through the scattering phase (`scattering.scattering_phase`).
     """
 
     coupling: float = 1.0
-    r1: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    r2: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     g: float = 2.0
 
     n_ions: ClassVar[int] = 2
     spin: ClassVar[float] = 0.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "r1", np.asarray(self.r1, dtype=float))
-        object.__setattr__(self, "r2", np.asarray(self.r2, dtype=float))
-        if self.r1.shape != (3,) or self.r2.shape != (3,):
-            raise ValueError("r1 and r2 must be 3-vectors")
-        if np.linalg.norm(self.r1 - self.r2) == 0.0:
-            raise ValueError("the two sites must have strictly positive separation")
-
-    @property
-    def separation(self) -> np.ndarray:
-        return self.r1 - self.r2
 
 
 def build_hamiltonian(model: DimerModel) -> np.ndarray:

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 
 from spindimer import cli
 from spindimer.cli import main
+from spindimer.quantifiers import QUANTIFIER_FUNCTIONS
 from spindimer.scattering import scattering_phase
 
 TWO_PI = 2.0 * np.pi
@@ -207,6 +208,31 @@ class TestReport:
         assert main(["report", "--q", "1,0", "--r1", "0,0,0", "--r2", "1,0,0"]) == 1
         assert main(["report", "--x", "1", "--temperature", "-1"]) == 1
 
+    def test_json_keys_and_values_follow_the_quantifier_vocabulary(self):
+        x = 2.3
+        report = self.run_json(["report", "--x", str(x), "--format", "json"])
+        names = ["x", *QUANTIFIER_FUNCTIONS]
+        assert list(report)[:len(names)] == names
+        assert report["x"] == x
+        for name, f in QUANTIFIER_FUNCTIONS.items():
+            assert report[name] == float(f(x)), name
+
+    def test_quantifier_lines_match_golden_text(self, capsys):
+        assert main(["report", "--x", "8.5"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(lines[:10]) == (DATA / "report_8.5.golden.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ["--x", "nan"],
+        ["--q", "inf,0,0", "--r1", "0,0,0", "--r2", "1,0,0"],
+        ["--q", "1,0,0", "--r1", "0,nan,0", "--r2", "1,0,0"],
+    ])
+    def test_non_finite_point_is_a_validation_failure(self, capsys, argv):
+        assert main(["report", *argv]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestIngest:
     def write(self, path, text):
@@ -347,6 +373,26 @@ class TestIngest:
             assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
+    def test_rejects_carry_the_line_a_multi_line_record_starts_on(self, tmp_path):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        self.write(src, 'x_rad,S\n"1.0\n",0.5\nabc,0.5\n"2.0,\n0.5"\n3.0,7\n')
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+        rejects = read_rejects(tmp_path / "out.csv.rejects.csv")
+        assert [(line, reason) for line, reason, _ in rejects[1:]] == [
+            ("4", "non-numeric field"), ("5", "expected 2 fields, got 1"), ("7", "S = 7 out of range [0, 1]"),
+        ]
+        _, rows = read_csv(out)
+        assert [row[:2] for row in rows] == [[1.0, 0.5]]
+
+    def test_over_long_cell_is_a_validation_failure_naming_its_line(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        self.write(src, "x_rad,S\n1.0,0.5\n" + "2" * 200_000 + ",0.5\n3.0,0.5\n")
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
     def test_vector_phase_equals_scattering_phase_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(5)
         geometry = rng.uniform(-10.0, 10.0, (2000, 9)) * 10.0 ** rng.integers(-3, 4, (2000, 1))
@@ -396,6 +442,20 @@ class TestVerify:
         names = [c["name"] for c in payload["checks"]]
         assert "trace-norm discord numerical vs closed form" in names
         assert any("violation_without_entanglement" in d for d in payload["discrepancies"])
+
+    def test_interrupted_json_write_keeps_the_old_file(self, tmp_path, monkeypatch, verification_report):
+        json_path = tmp_path / "verify.json"
+        json_path.write_text("old\n", encoding="utf-8")
+
+        def dump_some_then_fail(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            raise OSError("device full")
+
+        monkeypatch.setattr(cli.verify, "run_all_checks", lambda: verification_report)
+        monkeypatch.setattr(cli.json, "dump", dump_some_then_fail)
+        assert main(["verify", "--json", str(json_path)]) == 2
+        assert json_path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
 
 
 class TestArgumentErrors:

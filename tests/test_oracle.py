@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spindimer.oracle import (
-    MeasurementBasis,
     _dephasing_residual,
     chsh_direct_search,
     chsh_max,
@@ -37,7 +36,7 @@ def random_directions(rng, count):
 
 
 def angles(n):
-    """(theta, phi) of a unit vector, in the ranges MeasurementBasis accepts."""
+    """(theta, phi) of a unit vector, with theta in [0, pi] and phi in [0, 2 pi)."""
     return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]) % (2.0 * np.pi))
 
 
@@ -59,17 +58,15 @@ class TestMeasurementBasis:
         [(0.0, 0.0), (np.pi / 2.0, 0.0), (np.pi / 2.0, np.pi / 2.0), (1.1, 4.0), (np.pi, 0.3)],
     )
     def test_projector_algebra(self, theta, phi):
-        p_plus, p_minus = MeasurementBasis(theta, phi).projectors()
-        assert np.max(np.abs(p_plus @ p_plus - p_plus)) < 1e-12
-        assert np.max(np.abs(p_minus @ p_minus - p_minus)) < 1e-12
-        assert np.max(np.abs(p_plus @ p_minus)) < 1e-12
-        assert np.max(np.abs(p_plus + p_minus - np.eye(2))) < 1e-12
-
-    def test_rejects_out_of_range_angles(self):
-        with pytest.raises(ValueError):
-            MeasurementBasis(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            MeasurementBasis(0.1, 2.0 * np.pi)
+        # Orthogonal projectors P+ and P- that sum to I make the dephasing
+        # idempotent and trace preserving, and keep <n.sigma (x) I>.
+        rho = random_density_matrix(np.random.default_rng(3))
+        dephased = measurement_dephase(rho, theta, phi)
+        n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        local = np.kron(sum(ni * s for ni, s in zip(n, PAULI)), IDENTITY_2)
+        assert np.max(np.abs(measurement_dephase(dephased, theta, phi) - dephased)) < 1e-12
+        assert abs(np.trace(dephased - rho)) < 1e-12
+        assert abs(np.trace(local @ (dephased - rho))) < 1e-12
 
     def test_dephasing_preserves_trace_and_hermiticity(self):
         rho = werner_state(0.6)

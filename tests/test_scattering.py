@@ -5,7 +5,6 @@ import hypothesis.strategies as st
 
 from spindimer.quantifiers import scan_roots
 from spindimer.scattering import (
-    ScatteringInput,
     correlation_from_structure,
     exclusive_structure_factor,
     integrated_structure_factor,
@@ -167,30 +166,11 @@ class TestCorrelationFromStructure:
         assert correlation_from_structure(5.0 * np.pi / 3.0)[1] == pytest.approx(0.125, abs=1e-12)
 
 
-class TestScatteringInput:
-    def test_scalar_mode(self):
-        point = ScatteringInput(x=1.25)
-        assert point.phase == 1.25
-
-    def test_vector_mode_reduces_to_dot_product(self):
-        point = ScatteringInput(
-            q=np.array([1.0, 0.0, 0.0]),
-            r1=np.array([np.pi, 0.0, 0.0]),
-            r2=np.zeros(3),
-        )
-        assert point.phase == np.pi
-
-    def test_display_phase_is_reduced_but_raw_phase_is_not(self):
-        point = ScatteringInput(x=TWO_PI + 1.0)
-        assert point.phase == TWO_PI + 1.0
-        assert point.phase_mod_2pi == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_mixed_and_partial_inputs(self):
-        with pytest.raises(ValueError, match="not both"):
-            ScatteringInput(x=1.0, q=np.ones(3))
-        with pytest.raises(ValueError, match="vector mode"):
-            ScatteringInput(q=np.ones(3), r1=np.zeros(3))
-
-    def test_rejects_non_finite_phase(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScatteringInput(x=np.nan)
+class TestScatteringPhase:
+    @pytest.mark.parametrize("name", ["q", "r1", "r2"])
+    def test_rejects_non_finite_and_wrong_shape(self, name):
+        vectors = {"q": np.ones(3), "r1": np.zeros(3), "r2": np.ones(3)}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            scattering_phase(**{**vectors, name: np.array([0.0, np.inf, 0.0])})
+        with pytest.raises(ValueError, match="3-vectors"):
+            scattering_phase(**{**vectors, name: np.ones(2)})

@@ -221,14 +221,6 @@ class TestBellDiagonalState:
 
 
 class TestDimerModel:
-    def test_rejects_coincident_sites(self):
-        with pytest.raises(ValueError, match="separation"):
-            DimerModel(r1=np.zeros(3), r2=np.zeros(3))
-
-    def test_separation(self):
-        model = DimerModel(r1=np.array([1.0, 0.0, 0.0]), r2=np.array([0.0, 2.0, 0.0]))
-        assert np.allclose(model.separation, [1.0, -2.0, 0.0])
-
     def test_fixed_ion_count_and_spin(self):
         assert DimerModel.n_ions == 2
         assert DimerModel.spin == 0.5
