@@ -2,7 +2,10 @@
 
 Nothing here goes through the closed forms in `quantifiers`; these
 routines exist to validate them (and, where the published formulas
-disagree with each other, to adjudicate).
+disagree with each other, to adjudicate). The oracles (Wootters, both
+CHSH modes, the CHSH angle search and both discord methods) take one state
+of shape (4, 4) and return a float, or a stack of shape (..., 4, 4) and
+return an array of the leading shape; both go through the same code.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .spin_core import (
     SIGMA_Z,
     SINGLET,
     FanoVector,
+    _reject_first,
     fano_decompose,
     projector,
     require_density_matrix,
@@ -67,7 +71,12 @@ def measurement_dephase(rho: np.ndarray, theta: float, phi: float) -> np.ndarray
     return e0 @ rho @ e0 + e1 @ rho @ e1
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+def _per_state(values: np.ndarray) -> float | np.ndarray:
+    """A float for one state, the array of values for a stack."""
+    return values if values.ndim else float(values)
+
+
+def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Concurrence from the spin-flip construction.
 
     max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
@@ -77,9 +86,8 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     rho = require_density_matrix(rho)
     rho_tilde = SPIN_FLIP @ rho.conj() @ SPIN_FLIP
     eigs = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(np.real(eigs), 0.0, None))
-    lam[::-1].sort()
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(np.sqrt(np.clip(np.real(eigs), 0.0, None)), axis=-1)
+    return _per_state(np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]))
 
 
 def correlation_oracle(rho: np.ndarray, cross_atol: float = 1e-12) -> np.ndarray:
@@ -97,7 +105,7 @@ def correlation_oracle(rho: np.ndarray, cross_atol: float = 1e-12) -> np.ndarray
     return np.diag(tensor).copy()
 
 
-def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float:
+def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float | np.ndarray:
     """CHSH expectation magnitude for a two-qubit state.
 
     mode "fixed" evaluates |tr(rho sqrt(2)(XX + ZZ))|, the standard
@@ -107,15 +115,15 @@ def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float:
     """
     if mode == "fixed":
         rho = require_density_matrix(rho)
-        return float(abs(np.trace(rho @ CHSH_FIXED_OPERATOR).real))
+        return _per_state(np.abs(np.trace(rho @ CHSH_FIXED_OPERATOR, axis1=-2, axis2=-1).real))
     if mode == "optimized":
         t = fano_decompose(rho).tensor
-        m = np.linalg.eigvalsh(t.T @ t)
-        return float(2.0 * np.sqrt(m[-1] + m[-2]))
+        m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+        return _per_state(2.0 * np.sqrt(m[..., -1] + m[..., -2]))
     raise ValueError(f"unknown CHSH mode {mode!r}; expected 'fixed' or 'optimized'")
 
 
-def chsh_direct_search(rho: np.ndarray) -> float:
+def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
     """CHSH maximum by numerical search over measurement directions.
 
     For fixed directions b, b' on side 2, the optimal side-1 directions
@@ -125,26 +133,29 @@ def chsh_direct_search(rho: np.ndarray) -> float:
     for each. Cross-checks the Horodecki value without touching its
     T^T T eigenvalue algebra.
     """
-    t = fano_decompose(rho).tensor
+    tensor = fano_decompose(rho).tensor
+    shape = tensor.shape[:-2]
+    transposed = tensor.reshape(-1, 3, 3).swapaxes(-1, -2)
 
-    def negative_chsh(pairs):
+    def negative_chsh(pairs, states):
         b, bp = pairs[..., 0, :], pairs[..., 1, :]
-        return -(np.linalg.norm((b - bp) @ t.T, axis=-1) + np.linalg.norm((b + bp) @ t.T, axis=-1))
+        t = transposed[states]
+        return -(np.linalg.norm((b - bp) @ t, axis=-1) + np.linalg.norm((b + bp) @ t, axis=-1))
 
     grid = _hemisphere(_CHSH_GRID)
     pairs = np.stack(np.broadcast_arrays(grid[:, None], grid[None, :]), axis=-2).reshape(-1, 2, 3)
-    return -_sphere_search(negative_chsh, pairs)
+    return _per_state(-_sphere_search(negative_chsh, pairs, len(transposed)).reshape(shape))
 
 
 def _bell_diagonal_correlations(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     fano = fano_decompose(rho, atol=atol)
-    local = max(float(np.max(np.abs(fano.a))), float(np.max(np.abs(fano.b))))
-    if local > atol or not fano.diagonal:
-        raise ValueError("state is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")
+    local = np.maximum(np.abs(fano.a).max(axis=-1), np.abs(fano.b).max(axis=-1))
+    _reject_first((local > atol) | ~np.asarray(fano.diagonal), "state",
+                  "is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")
     return fano.c
 
 
-def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float:
+def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float | np.ndarray:
     """Geometric discord as the minimal trace-norm disturbance under a
     projective measurement on subsystem 1.
 
@@ -160,17 +171,22 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float:
     """
     if method == "closed_form_bell_diagonal":
         c = _bell_diagonal_correlations(rho)
-        return float(np.sort(np.abs(c))[1])
+        return _per_state(np.sort(np.abs(c), axis=-1)[..., 1])
     if method != "numerical_min":
         raise ValueError(
             f"unknown discord method {method!r}; expected 'closed_form_bell_diagonal' or 'numerical_min'"
         )
-    fano = fano_decompose(rho)
+    # Validated in the caller's shape first, so that an error names the
+    # state by its index there; the search runs over a flat stack.
+    rho = require_density_matrix(rho)
+    fano = fano_decompose(rho.reshape(-1, 4, 4))
 
-    def residual_norm(directions):
-        return np.abs(np.linalg.eigvalsh(_dephasing_residual(fano, directions[..., 0, :]))).sum(axis=-1)
+    def residual_norm(directions, states):
+        part = FanoVector(**{field: value[states] for field, value in vars(fano).items()})
+        return np.abs(np.linalg.eigvalsh(_dephasing_residual(part, directions[..., 0, :]))).sum(axis=-1)
 
-    return _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :])
+    found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(fano.c))
+    return _per_state(found.reshape(rho.shape[:-2]))
 
 
 def _dephasing_residual(fano: FanoVector, n: np.ndarray) -> np.ndarray:
@@ -178,11 +194,13 @@ def _dephasing_residual(fano: FanoVector, n: np.ndarray) -> np.ndarray:
 
     The measurement keeps the parts of a and T along n, so the residual is
     (1/4)[(a - (a.n) n).sigma (x) I + sum_ij (T - n n^T T)_ij sigma_i (x) sigma_j].
-    n has shape (..., 3); the result has shape (..., 4, 4).
+    For one state n has shape (..., 3); for a stack of states of leading
+    shape L it has shape L + (q, 3), q directions per state. The result has
+    shape n.shape[:-1] + (4, 4).
     """
     coeffs = np.zeros(n.shape[:-1] + (4, 4))
-    coeffs[..., 1:, 0] = fano.a - (n @ fano.a)[..., None] * n
-    coeffs[..., 1:, 1:] = fano.tensor - n[..., :, None] * (n @ fano.tensor)[..., None, :]
+    coeffs[..., 1:, 0] = fano.a[..., None, :] - (n @ fano.a[..., None]) * n
+    coeffs[..., 1:, 1:] = fano.tensor[..., None, :, :] - n[..., :, None] * (n @ fano.tensor)[..., None, :]
     flat = coeffs.reshape(-1, 16) @ PAULI_PRODUCTS.reshape(16, 16)
     return flat.reshape(n.shape[:-1] + (4, 4)) / 4.0
 
@@ -211,25 +229,32 @@ def _tangent_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _sphere_search(objective, grid: np.ndarray) -> float:
-    """Minimum of `objective` over a product of unit spheres, by compass search.
+def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
+    """Minimum of `objective` over a product of unit spheres, by compass
+    search, for each of `count` states.
 
-    `grid` holds coarse points of shape (m, 3), m unit vectors each;
-    `objective` maps an array of shape (..., m, 3) to shape (...). The
-    _STARTS best grid points are refined as one batch. In every round each
-    point polls _COMPASS * m neighbours: one of its vectors turned by the
-    point's step towards one of _COMPASS evenly spaced directions in the
-    tangent plane at that vector. The compass turns by the golden angle each
-    round, so over the rounds the polled directions cover the tangent plane.
-    The point moves to the best neighbour if that lowers its value by more
-    than _GAIN * step^2, and halves its step only when none does; the margin
-    stops a point from creeping along a valley on gains that vanish faster
-    than its step. The lowest value reached once every step is below _TOL
-    is returned.
+    `grid` holds coarse points of shape (g, m, 3), m unit vectors each;
+    `objective(points, states)` maps points of shape (k, ..., m, 3), of the
+    states with indices `states` (shape (k,)), to values of shape (k, ...).
+    The grid is evaluated one state at a time, and the _STARTS best grid
+    points of each state are refined, those of all states as one batch. In
+    every round each point polls _COMPASS * m neighbours: one of its
+    vectors turned by the point's step towards one of _COMPASS evenly
+    spaced directions in the tangent plane at that vector. The compass
+    turns by the golden angle each round, so over the rounds the polled
+    directions cover the tangent plane. The point moves to the best
+    neighbour if that lowers its value by more than _GAIN * step^2, and
+    halves its step only when none does; the margin stops a point from
+    creeping along a valley on gains that vanish faster than its step. A
+    point's path depends on its own state only. For each state, the lowest
+    value reached once every step is below _TOL is returned.
     """
-    coarse = objective(grid)
-    starts = np.argsort(coarse)[:_STARTS]
-    x, value = grid[starts], coarse[starts]
+    coarse = np.empty((count, len(grid)))
+    for state in range(count):
+        coarse[state] = objective(grid[None], [state])[0]
+    starts = np.argsort(coarse, axis=-1)[:, :_STARTS]
+    owner = np.repeat(np.arange(count), starts.shape[1])
+    x, value = grid[starts.ravel()], np.take_along_axis(coarse, starts, axis=-1).ravel()
     batch, m = x.shape[:2]
     steps = np.full(batch, _STEP)
     compass = np.exp(2j * np.pi * np.arange(_COMPASS) / _COMPASS)[:, None, None]
@@ -247,14 +272,14 @@ def _sphere_search(objective, grid: np.ndarray) -> float:
         turned /= np.linalg.norm(turned, axis=-1, keepdims=True)
         # Neighbour (direction d, moved sphere s) takes sphere s from `turned`.
         polls = np.where(replaced, turned[:, :, None], u[:, None, None]).reshape(-1, _COMPASS * m, m, 3)
-        values = objective(polls)
+        values = objective(polls, owner[active])
         k = np.argmin(values, axis=1)
         best = values[np.arange(active.size), k]
         better = best < value[active] - _GAIN * steps[active] ** 2
         x[active[better]] = polls[better, k[better]]
         value[active[better]] = best[better]
         steps[active[~better]] *= 0.5
-    return float(value.min())
+    return value.reshape(count, starts.shape[1]).min(axis=-1)
 
 
 def werner_state(p: float) -> np.ndarray:

@@ -49,22 +49,34 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _reject_first(bad: np.ndarray, name: str, problem: str) -> None:
+    """Raise `name problem` if any entry of `bad` is set; on a stack, name
+    the index of the first bad matrix."""
+    if bad.any():
+        if bad.ndim:
+            name += f"[{', '.join(map(str, np.unravel_index(np.argmax(bad), bad.shape)))}]"
+        raise ValueError(f"{name} {problem}")
+
+
 def require_hermitian(op: np.ndarray, name: str = "operator", atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Validate a 4x4 Hermitian matrix, or a stack of them of shape (..., 4, 4)."""
     op = np.asarray(op, dtype=complex)
-    if op.shape != (4, 4):
+    if op.shape[-2:] != (4, 4):
         raise ValueError(f"{name} must be a 4x4 matrix, got shape {op.shape}")
-    if np.max(np.abs(op - op.conj().T)) > atol:
-        raise ValueError(f"{name} is not Hermitian within {atol:g}")
+    _reject_first(np.abs(op - op.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > atol, name,
+                  f"is not Hermitian within {atol:g}")
     return op
 
 
 def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate a two-qubit density matrix: Hermitian, unit trace, positive."""
+    """Validate a two-qubit density matrix, or a stack of them of shape
+    (..., 4, 4): Hermitian, unit trace, positive."""
     rho = require_hermitian(rho, name=name)
-    if abs(np.trace(rho).real - 1.0) > TRACE_ATOL or abs(np.trace(rho).imag) > TRACE_ATOL:
-        raise ValueError(f"{name} does not have unit trace")
-    if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has a negative eigenvalue below {EIGENVALUE_FLOOR:g}")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    _reject_first((np.abs(trace.real - 1.0) > TRACE_ATOL) | (np.abs(trace.imag) > TRACE_ATOL), name,
+                  "does not have unit trace")
+    _reject_first(np.linalg.eigvalsh(rho).min(axis=-1) < EIGENVALUE_FLOOR, name,
+                  f"has a negative eigenvalue below {EIGENVALUE_FLOOR:g}")
     return rho
 
 
@@ -174,61 +186,67 @@ def thermal_state(model: DimerModel, temperature: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FanoVector:
-    """Pauli decomposition of a two-qubit state.
+    """Pauli decomposition of a two-qubit state, or of a stack of states.
 
     `a` and `b` are the local Bloch vectors, `tensor` the full 3x3
     correlation tensor <sigma_i (x) sigma_j>, and `c` its diagonal.
-    `diagonal` records whether the off-diagonal correlations vanish.
+    `diagonal` records whether the off-diagonal correlations vanish. For a
+    stack of shape (..., 4, 4) every field carries the leading shape, and
+    `diagonal` is a boolean array.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     tensor: np.ndarray
-    diagonal: bool
+    diagonal: bool | np.ndarray
 
 
 def fano_decompose(rho: np.ndarray, atol: float = 1e-12) -> FanoVector:
-    """Bloch vectors and correlation tensor of a valid density matrix."""
+    """Bloch vectors and correlation tensor of a valid density matrix, or
+    of each matrix of a stack (..., 4, 4)."""
     rho = require_density_matrix(rho)
-    # coeffs[i, j] = tr(rho sigma_i (x) sigma_j), sigma_0 = I. Each Pauli
+    # coeffs[..., i, j] = tr(rho sigma_i (x) sigma_j), sigma_0 = I. Each Pauli
     # product has one nonzero entry per row, so the inner sum is exact, and
     # the outer sum runs in index order like a matrix trace: the values
     # match np.trace(rho @ np.kron(sigma_i, sigma_j)) bit for bit.
-    coeffs = np.einsum("ijab,ba->ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
-    tensor = coeffs[1:, 1:]
-    off = tensor - np.diag(np.diag(tensor))
+    coeffs = np.einsum("ijab,...ba->...ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
+    tensor = coeffs[..., 1:, 1:]
+    off = tensor * (1.0 - np.eye(3))
+    diagonal = np.abs(off).max(axis=(-2, -1)) <= atol
     return FanoVector(
-        a=coeffs[1:, 0],
-        b=coeffs[0, 1:],
-        c=np.diag(tensor).copy(),
+        a=coeffs[..., 1:, 0],
+        b=coeffs[..., 0, 1:],
+        c=np.diagonal(tensor, axis1=-2, axis2=-1).copy(),
         tensor=tensor,
-        diagonal=bool(np.max(np.abs(off)) <= atol),
+        diagonal=diagonal if diagonal.ndim else bool(diagonal),
     )
 
 
 def fano_reconstruct(fano: FanoVector) -> np.ndarray:
-    """Rebuild the density matrix from its Pauli decomposition (exact for
-    any state, since the full correlation tensor is kept)."""
-    coeffs = np.empty((4, 4))
-    coeffs[0, 0] = 1.0
-    coeffs[1:, 0] = fano.a
-    coeffs[0, 1:] = fano.b
-    coeffs[1:, 1:] = fano.tensor
-    return np.einsum("ij,ijab->ab", coeffs, PAULI_PRODUCTS) / 4.0
+    """Rebuild the density matrix, or the stack of them, from its Pauli
+    decomposition (exact for any state, since the full correlation tensor
+    is kept)."""
+    coeffs = np.empty(fano.tensor.shape[:-2] + (4, 4))
+    coeffs[..., 0, 0] = 1.0
+    coeffs[..., 1:, 0] = fano.a
+    coeffs[..., 0, 1:] = fano.b
+    coeffs[..., 1:, 1:] = fano.tensor
+    return np.einsum("...ij,ijab->...ab", coeffs, PAULI_PRODUCTS) / 4.0
 
 
 def bell_diagonal_state(c: np.ndarray) -> np.ndarray:
     """Two-qubit state with zero Bloch vectors and diagonal correlations c.
 
-    Raises if c falls outside the Bell-state tetrahedron of physical states.
-    The isotropic case c = (w, w, w) is the state family whose same-axis
-    correlators all equal w; it is valid for -1 <= w <= 1/3.
+    c has shape (3,), or (..., 3) for a stack of states. Raises if c falls
+    outside the Bell-state tetrahedron of physical states. The isotropic
+    case c = (w, w, w) is the state family whose same-axis correlators all
+    equal w; it is valid for -1 <= w <= 1/3.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (3,):
+    if c.shape[-1:] != (3,):
         raise ValueError("c must be a 3-vector")
-    rho = IDENTITY_4.copy()
-    for ci, ss in zip(c, SIGMA_SIGMA):
-        rho = rho + ci * ss
+    rho = IDENTITY_4
+    for k, ss in enumerate(SIGMA_SIGMA):
+        rho = rho + c[..., k, None, None] * ss
     return require_density_matrix(rho / 4.0, name="bell-diagonal state")

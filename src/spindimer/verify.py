@@ -99,11 +99,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def implied_state(x: float) -> np.ndarray:
+def implied_state(x) -> np.ndarray:
     """Two-qubit state the diffraction formulas describe at phase x: zero
-    Bloch vectors and all three same-axis correlators equal to Re C(x)."""
-    c = float(real_correlation(x))
-    return bell_diagonal_state(np.array([c, c, c]))
+    Bloch vectors and all three same-axis correlators equal to Re C(x).
+    An array of phases gives a stack of states."""
+    c = np.asarray(real_correlation(x), dtype=float)
+    return bell_diagonal_state(np.stack([c, c, c], axis=-1))
 
 
 def closed_form_vs_oracle(x: float) -> dict:
@@ -232,17 +233,14 @@ def run_all_checks() -> VerificationReport:
     )
 
     rng = np.random.default_rng(303)
-    random_states = [oracle.random_density_matrix(rng) for _ in range(1000)]
-    excess = max(oracle.chsh_max(rho, "optimized") - TSIRELSON_BOUND for rho in random_states)
+    random_states = np.array([oracle.random_density_matrix(rng) for _ in range(1000)])
+    chsh = oracle.chsh_max(random_states, "optimized")
+    excess = np.max(chsh - TSIRELSON_BOUND)
     report.checks.append(
         _check("Tsirelson bound on optimized CHSH over random states", excess, 1e-9, metric="max excess")
     )
 
-    violations = sum(
-        1
-        for rho in random_states
-        if oracle.chsh_max(rho, "optimized") > 2.0 + 1e-9 and oracle.wootters_concurrence(rho) == 0.0
-    )
+    violations = np.count_nonzero((chsh > 2.0 + 1e-9) & (oracle.wootters_concurrence(random_states) == 0.0))
     report.checks.append(
         _check("separable random states never violate CHSH", violations, 0.0, metric="counterexamples")
     )
@@ -255,20 +253,16 @@ def run_all_checks() -> VerificationReport:
     report.checks.append(_check("Werner concurrence matches (3p-1)/2 form", worst, 1e-10))
 
     rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(100):
-        rho = oracle.random_bell_diagonal_state(rng)
-        closed = oracle.trace_norm_discord(rho, "closed_form_bell_diagonal")
-        numeric = oracle.trace_norm_discord(rho, "numerical_min")
-        worst = max(worst, abs(closed - numeric))
+    states = np.array([oracle.random_bell_diagonal_state(rng) for _ in range(100)])
+    closed = oracle.trace_norm_discord(states, "closed_form_bell_diagonal")
+    numeric = oracle.trace_norm_discord(states, "numerical_min")
+    worst = np.max(np.abs(closed - numeric))
     report.checks.append(_check("trace-norm discord numerical vs closed form", worst, 1e-6))
 
     rng = np.random.default_rng(505)
     probes = [oracle.werner_state(0.8), bell_diagonal_state(np.array([-1.0, -1.0, -1.0]))]
-    probes += [oracle.random_density_matrix(rng) for _ in range(3)]
-    worst = max(
-        abs(oracle.chsh_direct_search(rho) - oracle.chsh_max(rho, "optimized")) for rho in probes
-    )
+    probes = np.array(probes + [oracle.random_density_matrix(rng) for _ in range(3)])
+    worst = np.max(np.abs(oracle.chsh_direct_search(probes) - oracle.chsh_max(probes, "optimized")))
     report.checks.append(_check("CHSH direct angle search vs Horodecki value", worst, 1e-6))
 
     # -- closed forms vs oracle at the pure point -------------------------
@@ -310,10 +304,8 @@ def run_all_checks() -> VerificationReport:
     report.checks.append(_check("thermal eigenvalues are Boltzmann weights", worst, 1e-12))
 
     rng = np.random.default_rng(606)
-    worst = 0.0
-    for _ in range(1000):
-        rho = oracle.random_bell_diagonal_state(rng)
-        worst = max(worst, float(np.max(np.abs(fano_reconstruct(fano_decompose(rho)) - rho))))
+    states = np.array([oracle.random_bell_diagonal_state(rng) for _ in range(1000)])
+    worst = np.max(np.abs(fano_reconstruct(fano_decompose(states)) - states))
     report.checks.append(_check("Pauli decompose/reconstruct round trip", worst, 1e-12))
 
     report.discrepancies = _discrepancy_table()
@@ -343,9 +335,7 @@ def _discrepancy_table() -> list[dict]:
     )
 
     xs = np.linspace(0.2, two_pi - 0.2, 501)
-    oracle_vals = np.array(
-        [oracle.trace_norm_discord(implied_state(x), "closed_form_bell_diagonal") for x in xs]
-    )
+    oracle_vals = oracle.trace_norm_discord(implied_state(xs), "closed_form_bell_diagonal")
     fig_vals = np.asarray(geometric_discord(xs, "figure-consistent"))
     verb_vals = np.asarray(geometric_discord(xs, "verbatim"))
     keep = fig_vals > 1e-6
@@ -368,10 +358,7 @@ def _discrepancy_table() -> list[dict]:
     )
 
     grid = np.linspace(0.0, two_pi, 1001)
-    gaps = np.abs(
-        np.asarray(bell_mean(grid))
-        - np.array([oracle.chsh_max(implied_state(x), "fixed") for x in grid])
-    )
+    gaps = np.abs(np.asarray(bell_mean(grid)) - oracle.chsh_max(implied_state(grid), "fixed"))
     entries.append(
         {
             "description": (

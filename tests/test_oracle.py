@@ -270,3 +270,137 @@ class TestRandomStates:
             assert np.max(np.abs(fano.a)) < 1e-12
             assert np.max(np.abs(fano.b)) < 1e-12
             assert fano.diagonal
+
+
+def stack_of_kinds(rng, per_kind):
+    """Ginibre, Bell-diagonal, Werner and pure states, `per_kind` of each,
+    in a stack of shape (4, per_kind, 4, 4)."""
+    psi = rng.standard_normal((per_kind, 4)) + 1j * rng.standard_normal((per_kind, 4))
+    return np.array([
+        [random_density_matrix(rng) for _ in range(per_kind)],
+        [random_bell_diagonal_state(rng) for _ in range(per_kind)],
+        [werner_state(p) for p in np.linspace(0.0, 1.0, per_kind)],
+        [projector(p / np.linalg.norm(p)) for p in psi],
+    ])
+
+
+def per_state(oracle, stack):
+    """`oracle` called on each (4, 4) state of `stack`, in a Python loop."""
+    return np.array([oracle(rho) for rho in stack.reshape(-1, 4, 4)]).reshape(stack.shape[:-2])
+
+
+class TestStackedOracles:
+    """A stack of states gives what a loop over its (4, 4) states gives."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return stack_of_kinds(np.random.default_rng(14), 25)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            wootters_concurrence,
+            lambda rho: chsh_max(rho, "fixed"),
+            lambda rho: chsh_max(rho, "optimized"),
+        ],
+        ids=["wootters", "chsh_fixed", "chsh_optimized"],
+    )
+    def test_bit_for_bit(self, states, oracle):
+        stacked = oracle(states)
+        assert stacked.shape == (4, 25)
+        assert np.array_equal(stacked, per_state(oracle, states))
+
+    def test_closed_form_bell_diagonal_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        states = np.array([random_bell_diagonal_state(rng) for _ in range(60)]).reshape(3, 20, 4, 4)
+        closed = lambda rho: trace_norm_discord(rho, "closed_form_bell_diagonal")
+        assert np.array_equal(closed(states), per_state(closed, states))
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [lambda rho: trace_norm_discord(rho, "numerical_min"), chsh_direct_search],
+        ids=["numerical_min", "chsh_direct_search"],
+    )
+    def test_searches_agree_to_1e13(self, oracle):
+        states = stack_of_kinds(np.random.default_rng(16), 2)
+        stacked = oracle(states)
+        assert stacked.shape == (4, 2)
+        assert np.max(np.abs(stacked - per_state(oracle, states))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            wootters_concurrence,
+            lambda rho: chsh_max(rho, "fixed"),
+            lambda rho: chsh_max(rho, "optimized"),
+            lambda rho: trace_norm_discord(rho, "closed_form_bell_diagonal"),
+            lambda rho: trace_norm_discord(rho, "numerical_min"),
+            chsh_direct_search,
+        ],
+        ids=["wootters", "chsh_fixed", "chsh_optimized", "closed_form", "numerical_min", "chsh_direct_search"],
+    )
+    def test_one_state_gives_a_float_and_a_stack_of_one_an_array(self, oracle):
+        rho = werner_state(0.7)
+        value = oracle(rho)
+        assert type(value) is float
+        assert np.array_equal(oracle(rho[None]), [value])
+
+    def test_closed_form_names_the_state_that_is_not_bell_diagonal(self):
+        states = np.array([werner_state(0.5), werner_state(0.2), projector(KET_00)])
+        with pytest.raises(ValueError, match=r"state\[2\] is not Bell-diagonal"):
+            trace_norm_discord(states, "closed_form_bell_diagonal")
+
+    def test_invalid_state_in_a_stack_is_named_by_its_index(self):
+        states = np.array([werner_state(0.5)] * 6).reshape(2, 3, 4, 4)
+        states[1, 2] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"rho\[1, 2\] has a negative eigenvalue"):
+            wootters_concurrence(states)
+        with pytest.raises(ValueError, match=r"rho\[1, 2\] has a negative eigenvalue"):
+            trace_norm_discord(states, "numerical_min")
+
+
+def x_state_discord(fano):
+    """Trace-norm discord of X states, measured on subsystem 1, in the
+    closed form of Ciccarello, Tufarelli & Giovannetti, NJP 16, 013038 (2014).
+
+    For Bloch vectors along z and a diagonal correlation tensor c, with
+    g1 >= g2 the magnitudes of c_x, c_y, g3 = |c_z| and a3 the z component of
+    the measured spin's Bloch vector:
+    D^2 = (g1^2 high - g2^2 low) / (high - low + g1^2 - g2^2),
+    high = max(g3^2, g2^2 + a3^2), low = min(g3^2, g1^2).
+    A test-side reference, independent of the numerical search.
+    """
+    c = np.abs(fano.c)
+    g1, g2, g3 = np.maximum(c[..., 0], c[..., 1]), np.minimum(c[..., 0], c[..., 1]), c[..., 2]
+    high = np.maximum(g3**2, g2**2 + fano.a[..., 2] ** 2)
+    low = np.minimum(g3**2, g1**2)
+    return np.sqrt((g1**2 * high - g2**2 * low) / (high - low + g1**2 - g2**2))
+
+
+def random_x_states(rng, count):
+    """X states with real coherences: diagonal weights uniform on the
+    simplex, and rho_03, rho_12 uniform within their positivity bounds
+    |rho_03|^2 <= rho_00 rho_33, |rho_12|^2 <= rho_11 rho_22."""
+    p = rng.dirichlet(np.ones(4), size=count)
+    rho = np.zeros((count, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = p
+    rho[:, 0, 3] = rho[:, 3, 0] = rng.uniform(-1.0, 1.0, count) * np.sqrt(p[:, 0] * p[:, 3])
+    rho[:, 1, 2] = rho[:, 2, 1] = rng.uniform(-1.0, 1.0, count) * np.sqrt(p[:, 1] * p[:, 2])
+    return rho
+
+
+class TestXStateDiscord:
+    def test_reference_reduces_to_the_middle_magnitude_on_bell_diagonal_states(self):
+        rng = np.random.default_rng(17)
+        states = np.array([random_bell_diagonal_state(rng) for _ in range(1000)])
+        middle = trace_norm_discord(states, "closed_form_bell_diagonal")
+        assert np.max(np.abs(x_state_discord(fano_decompose(states)) - middle)) < 1e-12
+
+    def test_numerical_min_matches_the_x_state_closed_form(self):
+        states = random_x_states(np.random.default_rng(18), 100)
+        fano = fano_decompose(states)
+        # States with a Bloch vector along z, which the Bell-diagonal gate does not cover.
+        assert np.all(fano.diagonal) and np.min(np.abs(fano.a[:, 2])) > 0.0
+        assert np.max(np.abs(fano.a[:, :2])) == 0.0
+        numeric = trace_norm_discord(states, "numerical_min")
+        assert np.max(np.abs(numeric - x_state_discord(fano))) < 1e-6

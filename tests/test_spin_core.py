@@ -16,6 +16,7 @@ from spindimer.spin_core import (
     fano_decompose,
     fano_reconstruct,
     projector,
+    require_density_matrix,
     thermal_state,
 )
 
@@ -206,6 +207,61 @@ class TestFanoDecomposition:
         up = np.array([1.0, 0.0], dtype=complex)
         rho = 0.6 * projector(np.kron(plus, up)) + 0.4 * projector(SINGLET)
         assert np.max(np.abs(fano_reconstruct(fano_decompose(rho)) - rho)) < 1e-12
+
+
+class TestStacks:
+    """Stacks of states (..., 4, 4) go through the same code as one state."""
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(19)
+        g = rng.standard_normal((12, 4, 4)) + 1j * rng.standard_normal((12, 4, 4))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        rho[:3] = [projector(SINGLET), np.eye(4) / 4.0, projector(TRIPLET_PLUS)]
+        return rho.reshape(3, 4, 4, 4)
+
+    def test_fano_decompose_and_reconstruct_bit_for_bit(self):
+        states = self.states()
+        stacked = fano_decompose(states)
+        singles = [fano_decompose(rho) for rho in states.reshape(-1, 4, 4)]
+        for field in ("a", "b", "c", "tensor", "diagonal"):
+            expected = np.array([getattr(f, field) for f in singles])
+            got = getattr(stacked, field)
+            assert np.array_equal(got.reshape(expected.shape), expected), field
+            assert got.shape[:2] == (3, 4)
+        assert type(singles[0].diagonal) is bool and singles[0].diagonal
+        rebuilt = np.array([fano_reconstruct(f) for f in singles]).reshape(states.shape)
+        assert np.array_equal(fano_reconstruct(stacked), rebuilt)
+
+    def test_bell_diagonal_state_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        w = rng.dirichlet(np.ones(4), size=(2, 5))
+        c = np.stack([w @ [1, -1, 1, -1], w @ [-1, 1, 1, -1], w @ [1, 1, -1, -1]], axis=-1)
+        expected = np.array([bell_diagonal_state(ci) for ci in c.reshape(-1, 3)]).reshape(2, 5, 4, 4)
+        assert np.array_equal(bell_diagonal_state(c), expected)
+
+    def test_invalid_state_is_named_by_its_index(self):
+        states = self.states()
+        states[2, 1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"rho\[2, 1\] is not Hermitian"):
+            require_density_matrix(states)
+        negative = np.array([np.eye(4) / 4.0] * 5)
+        negative[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"rho\[3\] has a negative eigenvalue"):
+            fano_decompose(negative)
+        with pytest.raises(ValueError, match=r"bell-diagonal state\[1\] has a negative eigenvalue"):
+            bell_diagonal_state(np.array([[-1.0, -1.0, -1.0], [0.5, 0.5, 0.5]]))
+
+    def test_one_state_keeps_its_messages(self):
+        with pytest.raises(ValueError, match=r"^rho is not Hermitian within 1e-12$"):
+            require_density_matrix(np.triu(np.ones((4, 4))) / 4.0)
+        with pytest.raises(ValueError, match=r"^rho must be a 4x4 matrix, got shape \(4, 3\)$"):
+            require_density_matrix(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"must be a 4x4 matrix, got shape \(2, 4, 3\)"):
+            fano_decompose(np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="c must be a 3-vector"):
+            bell_diagonal_state(np.zeros((2, 4)))
 
 
 class TestBellDiagonalState:
