@@ -37,7 +37,6 @@ QUANTIFIER_NAMES = tuple(QUANTIFIER_FUNCTIONS)
 
 SCALAR_HEADER = ["x_rad", "S"]
 VECTOR_HEADER = ["qx", "qy", "qz", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "S"]
-OUTPUT_COLUMNS = [name for name in QUANTIFIER_NAMES if name != "S"]  # ingest echoes the measured S
 # Rows formatted and written per write() call by the CSV writers.
 ROWS_PER_CHUNK = 2048
 
@@ -266,8 +265,8 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
 
     derived = quantifier_table(x[ok], s[ok])
     echoed = [table[ok]] + ([x[ok]] if mode == "vector" else [])
-    output = np.column_stack(echoed + [derived[name] for name in OUTPUT_COLUMNS])
-    out_header = list(header) + (["x_rad"] if mode == "vector" else []) + OUTPUT_COLUMNS
+    output = np.column_stack(echoed + list(derived.values()))
+    out_header = list(header) + (["x_rad"] if mode == "vector" else []) + list(derived)
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
     with _replaced_on_success(out_path) as fh:
         fh.write(",".join(out_header) + "\n")

@@ -16,10 +16,10 @@ from .spin_core import (
     IDENTITY_2,
     PAULI,
     PAULI_PRODUCTS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     SINGLET,
+    TRIPLET_MINUS,
+    TRIPLET_PLUS,
+    TRIPLET_ZERO,
     FanoVector,
     _reject_first,
     fano_decompose,
@@ -40,16 +40,17 @@ _TOL = 1e-11
 _GAIN = 1e-3
 _MAX_ROUNDS = 2000
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+# Largest cross-axis correlator `correlation_oracle` lets through.
+_CROSS_ATOL = 1e-12
 
-SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
-CHSH_FIXED_OPERATOR = np.sqrt(2.0) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z))
+SPIN_FLIP = PAULI_PRODUCTS[2, 2]  # Y (x) Y
+CHSH_FIXED_OPERATOR = np.sqrt(2.0) * (PAULI_PRODUCTS[1, 1] + PAULI_PRODUCTS[3, 3])  # sqrt(2) (XX + ZZ)
 
-_E = np.eye(4, dtype=complex)
 BELL_STATES = (
-    (_E[:, 0] + _E[:, 3]) / np.sqrt(2.0),  # Phi+
-    (_E[:, 0] - _E[:, 3]) / np.sqrt(2.0),  # Phi-
-    (_E[:, 1] + _E[:, 2]) / np.sqrt(2.0),  # Psi+
-    (_E[:, 1] - _E[:, 2]) / np.sqrt(2.0),  # Psi- (singlet)
+    (TRIPLET_PLUS + TRIPLET_MINUS) / np.sqrt(2.0),  # Phi+
+    (TRIPLET_PLUS - TRIPLET_MINUS) / np.sqrt(2.0),  # Phi-
+    TRIPLET_ZERO,                                   # Psi+
+    SINGLET,                                        # Psi-
 )
 
 
@@ -90,7 +91,7 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     return _per_state(np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]))
 
 
-def correlation_oracle(rho: np.ndarray, cross_atol: float = 1e-12) -> np.ndarray:
+def correlation_oracle(rho: np.ndarray) -> np.ndarray:
     """Same-axis Pauli correlators (<xx>, <yy>, <zz>) as direct traces.
 
     Also asserts that the cross-axis correlators vanish, which holds for
@@ -100,7 +101,7 @@ def correlation_oracle(rho: np.ndarray, cross_atol: float = 1e-12) -> np.ndarray
     tensor = fano_decompose(rho).tensor
     off = tensor - np.diag(np.diag(tensor))
     worst = float(np.max(np.abs(off)))
-    if worst > cross_atol:
+    if worst > _CROSS_ATOL:
         raise ValueError(f"cross-axis correlators do not vanish (max {worst:.3e})")
     return np.diag(tensor).copy()
 

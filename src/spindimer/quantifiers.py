@@ -1,27 +1,55 @@
 """Closed-form quantum-correlation quantifiers versus the scattering phase.
 
-Each function takes the scalar phase x = q . (r1 - r2) and evaluates a
-published closed form built on the structure factor S(x) and the real
-correlation Re C(x). The independent density-matrix checks live in
-`oracle`; this module is deliberately formula-only.
+Each published closed form is written once, as a function of the structure
+factor S and the real correlation Re C = cos(x) S, in `_CLOSED_FORMS`. The
+functions of the scalar phase x = q . (r1 - r2) evaluate it at S(x), and
+`quantifier_table` at a measured S. The independent density-matrix checks
+live in `oracle`; this module is deliberately formula-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, make_dataclass
+from functools import partial
 
 import numpy as np
 
-from .scattering import correlation_from_structure, scalar_structure_factor
+from .scattering import scalar_structure_factor
 from .spin_core import DimerModel
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 DISCORD_VARIANTS = ("verbatim", "figure-consistent")
+# `bisect_root` stops once |f| < _ROOT_FTOL, or after _MAX_BISECTIONS halvings.
+_ROOT_FTOL = 1e-12
+_MAX_BISECTIONS = 200
+
+
+def _signed_concurrence(re_c):
+    return -0.5 * (1.0 + 3.0 * re_c)
+
+
+# Every quantifier but S as its closed form in (Re C, S), in canonical column order.
+# np.maximum may return either zero when both are zeros; adding 0.0 turns -0 into 0.
+_CLOSED_FORMS = {
+    "ReC": lambda re_c, s: re_c,
+    "witness": lambda re_c, s: 2.0 + 3.0 * re_c,
+    "concurrence": lambda re_c, s: np.maximum(0.0, _signed_concurrence(re_c)) + 0.0,
+    "eof": lambda re_c, s: entanglement_of_formation(_CLOSED_FORMS["concurrence"](re_c, s)),
+    "bell": lambda re_c, s: TSIRELSON_BOUND * s,
+    "discord_verbatim": lambda re_c, s: 0.5 * s,
+    "discord_figure": lambda re_c, s: 0.5 * np.abs(re_c),
+}
+
+
+def _at_phase(name: str, x):
+    """The closed form `name` at phase x, from S(x) and Re C(x) = cos(x) S(x)."""
+    s = scalar_structure_factor(x)
+    return _CLOSED_FORMS[name](np.cos(x) * s, s)
 
 
 def real_correlation(x):
-    """Physical spin-spin correlation Re C(x) = cos(x) (1 - cos x)/2."""
-    return correlation_from_structure(x)[1]
+    """Physical spin-spin correlation Re C(x) = cos(x) S(x) = cos(x) (1 - cos x)/2."""
+    return _at_phase("ReC", x)
 
 
 def witness(x):
@@ -29,7 +57,7 @@ def witness(x):
 
     Negative values certify entanglement; positive values are inconclusive.
     """
-    return 2.0 + 3.0 * real_correlation(x)
+    return _at_phase("witness", x)
 
 
 def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
@@ -60,17 +88,12 @@ def signed_concurrence(x):
     Its sign changes mark the entanglement window boundaries, which the
     clipped form cannot expose to a root finder.
     """
-    return -0.5 * (1.0 + 3.0 * real_correlation(x))
+    return _signed_concurrence(real_correlation(x))
 
 
 def concurrence(x):
     """Two-qubit concurrence max(0, -(1 + 3 Re C(x))/2), in [0, 1]."""
-    return _clip_at_zero(signed_concurrence(x))
-
-
-def _clip_at_zero(value):
-    # np.maximum may return either zero when both are zeros; adding 0.0 turns -0 into 0.
-    return np.maximum(0.0, value) + 0.0
+    return _at_phase("concurrence", x)
 
 
 def entanglement_of_formation(conc):
@@ -100,7 +123,7 @@ def bell_mean(x):
     Exceeding 2 signals a Bell-inequality violation; the quantum maximum
     2 sqrt(2) is reached only at x = pi.
     """
-    return TSIRELSON_BOUND * scalar_structure_factor(x)
+    return _at_phase("bell", x)
 
 
 def geometric_discord(x, variant: str = "figure-consistent"):
@@ -113,25 +136,14 @@ def geometric_discord(x, variant: str = "figure-consistent"):
     inconsistency is surfaced by the verification report rather than
     resolved here.
     """
-    if variant == "verbatim":
-        return 0.5 * scalar_structure_factor(x)
-    if variant == "figure-consistent":
-        return 0.5 * np.abs(real_correlation(x))
-    raise ValueError(f"unknown discord variant {variant!r}; expected one of {DISCORD_VARIANTS}")
+    if variant not in DISCORD_VARIANTS:
+        raise ValueError(f"unknown discord variant {variant!r}; expected one of {DISCORD_VARIANTS}")
+    return _at_phase("discord_verbatim" if variant == "verbatim" else "discord_figure", x)
 
 
 # Name -> vectorized function of the phase, in canonical column order.
 # This is the quantifier vocabulary of the sweep/report interfaces.
-QUANTIFIER_FUNCTIONS = {
-    "S": scalar_structure_factor,
-    "ReC": real_correlation,
-    "witness": witness,
-    "concurrence": concurrence,
-    "eof": lambda x: entanglement_of_formation(concurrence(x)),
-    "bell": bell_mean,
-    "discord_verbatim": lambda x: geometric_discord(x, "verbatim"),
-    "discord_figure": lambda x: geometric_discord(x, "figure-consistent"),
-}
+QUANTIFIER_FUNCTIONS = {"S": scalar_structure_factor, **{name: partial(_at_phase, name) for name in _CLOSED_FORMS}}
 
 
 def quantifier_table(x, s) -> dict[str, np.ndarray]:
@@ -140,24 +152,13 @@ def quantifier_table(x, s) -> dict[str, np.ndarray]:
     The closed forms depend on the phase only through cos x and S, so a
     measured S (`ingest`) goes through the same formulas as the theoretical
     S(x). With s = S(x), each column equals the `QUANTIFIER_FUNCTIONS` entry
-    of the same name bit for bit: cos(x) * S is exactly the real part of
-    exp(-ix) S. Keys follow `QUANTIFIER_FUNCTIONS` without "S"; s must lie
-    in [0, 1], which keeps the concurrence inside the range of
-    `entanglement_of_formation`.
+    of the same name bit for bit. Keys follow `QUANTIFIER_FUNCTIONS` without
+    "S"; s must lie in [0, 1], which keeps the concurrence inside the range
+    of `entanglement_of_formation`.
     """
-    x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
-    re_c = np.cos(x) * s
-    conc = _clip_at_zero(-0.5 * (1.0 + 3.0 * re_c))
-    return {
-        "ReC": re_c,
-        "witness": 2.0 + 3.0 * re_c,
-        "concurrence": conc,
-        "eof": entanglement_of_formation(conc),
-        "bell": TSIRELSON_BOUND * s,
-        "discord_verbatim": 0.5 * s,
-        "discord_figure": 0.5 * np.abs(re_c),
-    }
+    re_c = np.cos(np.asarray(x, dtype=float)) * s
+    return {name: form(re_c, s) for name, form in _CLOSED_FORMS.items()}
 
 
 QuantifierReport = make_dataclass(
@@ -176,8 +177,8 @@ def evaluate_quantifiers(x: float) -> QuantifierReport:
     return QuantifierReport(float(x), *(float(f(x)) for f in QUANTIFIER_FUNCTIONS.values()))
 
 
-def bisect_root(f, lo: float, hi: float, ftol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on a bracketing interval, run until |f| < ftol."""
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Bisection on a bracketing interval, run until |f| < 1e-12."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -185,10 +186,10 @@ def bisect_root(f, lo: float, hi: float, ftol: float = 1e-12, max_iter: int = 20
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise ValueError("interval does not bracket a root")
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if abs(fmid) < ftol:
+        if abs(fmid) < _ROOT_FTOL:
             return mid
         if np.sign(fmid) == np.sign(flo):
             lo, flo = mid, fmid
@@ -197,7 +198,7 @@ def bisect_root(f, lo: float, hi: float, ftol: float = 1e-12, max_iter: int = 20
     return 0.5 * (lo + hi)
 
 
-def scan_roots(f, lo: float = 0.0, hi: float = 2.0 * np.pi, samples: int = 10_000, ftol: float = 1e-12) -> list[float]:
+def scan_roots(f, lo: float = 0.0, hi: float = 2.0 * np.pi, samples: int = 10_000) -> list[float]:
     """All sign-change roots of a vectorized f inside [lo, hi], in order.
 
     f is evaluated once on a uniform grid. A sign change between two grid
@@ -207,10 +208,7 @@ def scan_roots(f, lo: float = 0.0, hi: float = 2.0 * np.pi, samples: int = 10_00
     """
     grid = np.linspace(lo, hi, samples)
     sign = np.sign(f(grid))
-    roots = [
-        bisect_root(f, grid[k], grid[k + 1], ftol=ftol)
-        for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    ]
+    roots = [bisect_root(f, grid[k], grid[k + 1]) for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
     on_grid = np.nonzero((sign[1:-1] == 0) & (sign[:-2] * sign[2:] < 0))[0] + 1
     return sorted(roots + [float(grid[k]) for k in on_grid])
 

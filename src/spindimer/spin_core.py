@@ -16,21 +16,20 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# Same-axis two-site Pauli products sigma_a (x) sigma_a, and spin-1/2 site
-# operators S = sigma/2 embedded on each site.
-SIGMA_SIGMA = tuple(np.kron(s, s) for s in PAULI)
-SPIN_SITE_1 = tuple(np.kron(0.5 * s, IDENTITY_2) for s in PAULI)
-SPIN_SITE_2 = tuple(np.kron(IDENTITY_2, 0.5 * s) for s in PAULI)
-TOTAL_SZ = SPIN_SITE_1[2] + SPIN_SITE_2[2]
 
 # All sixteen two-site Pauli products: PAULI_PRODUCTS[i, j] = sigma_i (x) sigma_j
 # with sigma_0 = I. They are an orthogonal basis of the 4x4 matrices with
 # tr(PAULI_PRODUCTS[i, j] PAULI_PRODUCTS[k, l]) = 4 delta_ik delta_jl.
 _PAULI_WITH_IDENTITY = (IDENTITY_2,) + PAULI
 PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in _PAULI_WITH_IDENTITY] for s in _PAULI_WITH_IDENTITY])
+
+# Same-axis two-site Pauli products sigma_a (x) sigma_a, and spin-1/2 site
+# operators S = sigma/2 embedded on each site.
+SIGMA_SIGMA = PAULI_PRODUCTS[[1, 2, 3], [1, 2, 3]]
+SPIN_SITE_1 = tuple(np.kron(0.5 * s, IDENTITY_2) for s in PAULI)
+SPIN_SITE_2 = tuple(np.kron(IDENTITY_2, 0.5 * s) for s in PAULI)
+TOTAL_SZ = SPIN_SITE_1[2] + SPIN_SITE_2[2]
 
 _E = np.eye(4, dtype=complex)
 TRIPLET_PLUS = _E[:, 0].copy()                        # |00>, (s, m) = (1, +1)
@@ -59,10 +58,12 @@ def _reject_first(bad: np.ndarray, name: str, problem: str) -> None:
 
 
 def require_hermitian(op: np.ndarray, name: str = "operator", atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate a 4x4 Hermitian matrix, or a stack of them of shape (..., 4, 4)."""
+    """Validate a finite 4x4 Hermitian matrix, or a stack of them of shape (..., 4, 4)."""
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (4, 4):
         raise ValueError(f"{name} must be a 4x4 matrix, got shape {op.shape}")
+    # Checked first: every later check is a comparison, which NaN passes.
+    _reject_first(~np.isfinite(op).all(axis=(-2, -1)), name, "has a non-finite entry")
     _reject_first(np.abs(op - op.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > atol, name,
                   f"is not Hermitian within {atol:g}")
     return op
@@ -246,7 +247,7 @@ def bell_diagonal_state(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape[-1:] != (3,):
         raise ValueError("c must be a 3-vector")
-    rho = IDENTITY_4
+    rho = PAULI_PRODUCTS[0, 0]
     for k, ss in enumerate(SIGMA_SIGMA):
         rho = rho + c[..., k, None, None] * ss
     return require_density_matrix(rho / 4.0, name="bell-diagonal state")

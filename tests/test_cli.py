@@ -428,7 +428,29 @@ def test_ingesting_the_theoretical_structure_factor_reproduces_the_sweep(x_from,
         assert ingest_lines[1:] == sweep_lines[1:]
 
 
+def assert_matches_golden(got, want, path="report"):
+    """Same keys in the same order, same strings, booleans, integers and list
+    lengths; floats within 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{path}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
 class TestVerify:
+    def test_summary_matches_golden_json(self, verification_report):
+        # Every check's observation and every discrepancy number, as `verify --json` writes them.
+        golden = json.loads((DATA / "verify.golden.json").read_text(encoding="utf-8"))
+        assert_matches_golden(verification_report.as_dict(), golden)
+
     def test_verify_passes_and_reports(self, tmp_path, capsys):
         json_path = tmp_path / "verify.json"
         code = main(["verify", "--json", str(json_path)])

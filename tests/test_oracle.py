@@ -358,6 +358,18 @@ class TestStackedOracles:
         with pytest.raises(ValueError, match=r"rho\[1, 2\] has a negative eigenvalue"):
             trace_norm_discord(states, "numerical_min")
 
+    @pytest.mark.parametrize("oracle", [wootters_concurrence, lambda rho: chsh_max(rho, "fixed"), chsh_max],
+                             ids=["wootters", "chsh_fixed", "chsh_optimized"])
+    def test_nan_entry_is_a_validation_error(self, oracle):
+        rho = MIXED.copy()
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^rho has a non-finite entry$"):
+            oracle(rho)
+        states = np.array([MIXED] * 4)
+        states[3, 1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^rho\[3\] has a non-finite entry$"):
+            oracle(states)
+
 
 def x_state_discord(fano):
     """Trace-norm discord of X states, measured on subsystem 1, in the

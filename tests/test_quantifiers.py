@@ -23,7 +23,7 @@ from spindimer.quantifiers import (
     witness_from_susceptibility,
     witness_window,
 )
-from spindimer.scattering import scalar_structure_factor
+from spindimer.scattering import correlation_from_structure, scalar_structure_factor
 from spindimer.spin_core import DimerModel
 
 TWO_PI = 2.0 * np.pi
@@ -225,6 +225,8 @@ class TestQuantifierTable:
         assert list(table) == [name for name in QUANTIFIER_FUNCTIONS if name != "S"]
         for name, column in table.items():
             assert column.tobytes() == np.asarray(QUANTIFIER_FUNCTIONS[name](x), dtype=float).tobytes(), name
+        # cos(x) S(x) is exactly the real part of the complex C = exp(-ix) S(x).
+        assert real_correlation(x).tobytes() == correlation_from_structure(x)[1].tobytes()
 
     def test_concurrence_clipped_at_exactly_zero_is_not_negative_zero(self):
         # cos(pi) = -1 exactly, so Re C = -1/3 and 1 + 3 Re C rounds to exactly 0.

@@ -253,6 +253,17 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"bell-diagonal state\[1\] has a negative eigenvalue"):
             bell_diagonal_state(np.array([[-1.0, -1.0, -1.0], [0.5, 0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_rejected(self, bad):
+        rho = np.eye(4) / 4.0
+        rho[0, 0] = bad
+        with pytest.raises(ValueError, match=r"^rho has a non-finite entry$"):
+            require_density_matrix(rho)
+        states = np.array([np.eye(4) / 4.0] * 6).reshape(2, 3, 4, 4)
+        states[1, 2, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"^rho\[1, 2\] has a non-finite entry$"):
+            require_density_matrix(states)
+
     def test_one_state_keeps_its_messages(self):
         with pytest.raises(ValueError, match=r"^rho is not Hermitian within 1e-12$"):
             require_density_matrix(np.triu(np.ones((4, 4))) / 4.0)
