@@ -20,7 +20,6 @@ from .spin_core import (
     TRIPLET_MINUS,
     TRIPLET_PLUS,
     TRIPLET_ZERO,
-    FanoVector,
     _reject_first,
     fano_decompose,
     projector,
@@ -62,8 +61,8 @@ def trace_norm(matrix: np.ndarray) -> float:
 def measurement_dephase(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
     """Dephasing of rho under the subsystem-1 measurement along (theta, phi).
 
-    Built from explicit 4x4 projectors; it is the reference the Pauli-space
-    `_dephasing_residual` is tested against.
+    Built from explicit 4x4 projectors; with `trace_norm` it is the
+    reference the closed-form `_residual_trace_norm` is tested against.
     """
     n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     n_sigma = sum(ni * s for ni, s in zip(n, PAULI))
@@ -162,9 +161,10 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float 
 
     "closed_form_bell_diagonal" requires a Bell-diagonal input and returns
     the middle value of {|c1|, |c2|, |c3|}. "numerical_min" minimizes
-    ||rho - dephase(rho)||_1 over the measurement direction n: the residual
-    is built in Pauli space (`_dephasing_residual`), its trace norm is the
-    sum of |eigenvalues|, and n runs over a coarse grid on one hemisphere
+    ||rho - dephase(rho)||_1 over the measurement direction n. At each
+    direction the trace norm of the residual is taken in closed form from
+    the Bloch vector and correlation tensor (`_residual_trace_norm`); the
+    search over directions is numerical: a coarse grid on one hemisphere
     (n and -n give the same measurement) refined by `_sphere_search`. It
     works for any state and agrees with the closed form on Bell-diagonal
     ones. No normalization factor is applied: this is the raw minimized
@@ -183,27 +183,35 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float 
     fano = fano_decompose(rho.reshape(-1, 4, 4))
 
     def residual_norm(directions, states):
-        part = FanoVector(**{field: value[states] for field, value in vars(fano).items()})
-        return np.abs(np.linalg.eigvalsh(_dephasing_residual(part, directions[..., 0, :]))).sum(axis=-1)
+        return _residual_trace_norm(fano.a[states], fano.tensor[states], directions[..., 0, :])
 
     found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(fano.c))
     return _per_state(found.reshape(rho.shape[:-2]))
 
 
-def _dephasing_residual(fano: FanoVector, n: np.ndarray) -> np.ndarray:
-    """rho - dephase(rho) for the subsystem-1 measurement along unit vectors n.
+def _residual_trace_norm(a: np.ndarray, tensor: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """||rho - dephase(rho)||_1 for the subsystem-1 measurement along unit
+    vectors n, from the Bloch vector a and correlation tensor T of rho.
 
-    The measurement keeps the parts of a and T along n, so the residual is
-    (1/4)[(a - (a.n) n).sigma (x) I + sum_ij (T - n n^T T)_ij sigma_i (x) sigma_j].
-    For one state n has shape (..., 3); for a stack of states of leading
-    shape L it has shape L + (q, 3), q directions per state. The result has
-    shape n.shape[:-1] + (4, 4).
+    In the eigenbasis of n.sigma on spin 1 the residual keeps only the two
+    off-diagonal blocks, each (1/4) B with B = p I + q.sigma, p = z.a and
+    q = z^T T for z = e1 - i e2 built from a frame (e1, e2) orthogonal to n.
+    The trace norm is twice B's nuclear norm over 4, and for a 2x2 matrix
+    that norm is sqrt(||B||_F^2 + 2 |det B|); every term under the root is
+    non-negative, so near-degenerate states lose nothing to cancellation.
+    Turning the frame about n changes z by a phase only, which leaves the
+    value unchanged.
+    For states of leading shape L (L = () for one state), a has shape
+    L + (3,), T L + (3, 3) and n L + (q, 3), q directions per state; the
+    result has shape L + (q,).
     """
-    coeffs = np.zeros(n.shape[:-1] + (4, 4))
-    coeffs[..., 1:, 0] = fano.a[..., None, :] - (n @ fano.a[..., None]) * n
-    coeffs[..., 1:, 1:] = fano.tensor[..., None, :, :] - n[..., :, None] * (n @ fano.tensor)[..., None, :]
-    flat = coeffs.reshape(-1, 16) @ PAULI_PRODUCTS.reshape(16, 16)
-    return flat.reshape(n.shape[:-1] + (4, 4)) / 4.0
+    e1, e2 = _tangent_frame(n)
+    z = e1 - 1j * e2
+    p = np.sum(z * a[..., None, :], axis=-1)
+    q = z @ tensor
+    half_frobenius = np.abs(p) ** 2 + np.sum(np.abs(q) ** 2, axis=-1)  # ||B||_F^2 / 2
+    det = p * p - np.sum(q * q, axis=-1)
+    return np.sqrt((half_frobenius + np.abs(det)) / 2.0)
 
 
 def _hemisphere(count: int) -> np.ndarray:
@@ -296,8 +304,12 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_bell_diagonal_state(rng: np.random.Generator) -> np.ndarray:
-    """Random mixture of the four Bell states (uniform on the simplex)."""
-    weights = rng.dirichlet(np.ones(4))
-    rho = sum(w * projector(b) for w, b in zip(weights, BELL_STATES))
-    return rho
+def random_bell_diagonal_state(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Random mixture of the four Bell states (uniform on the simplex).
+
+    `size` follows numpy's convention: None draws one state of shape
+    (4, 4), an int or tuple a stack of shape size + (4, 4) that equals as
+    many single draws from the same generator, in order.
+    """
+    weights = rng.dirichlet(np.ones(4), size)
+    return sum(weights[..., k, None, None] * projector(b) for k, b in enumerate(BELL_STATES))

@@ -253,7 +253,7 @@ def run_all_checks() -> VerificationReport:
     report.checks.append(_check("Werner concurrence matches (3p-1)/2 form", worst, 1e-10))
 
     rng = np.random.default_rng(404)
-    states = np.array([oracle.random_bell_diagonal_state(rng) for _ in range(100)])
+    states = oracle.random_bell_diagonal_state(rng, 100)
     closed = oracle.trace_norm_discord(states, "closed_form_bell_diagonal")
     numeric = oracle.trace_norm_discord(states, "numerical_min")
     worst = np.max(np.abs(closed - numeric))
@@ -304,7 +304,7 @@ def run_all_checks() -> VerificationReport:
     report.checks.append(_check("thermal eigenvalues are Boltzmann weights", worst, 1e-12))
 
     rng = np.random.default_rng(606)
-    states = np.array([oracle.random_bell_diagonal_state(rng) for _ in range(1000)])
+    states = oracle.random_bell_diagonal_state(rng, 1000)
     worst = np.max(np.abs(fano_reconstruct(fano_decompose(states)) - states))
     report.checks.append(_check("Pauli decompose/reconstruct round trip", worst, 1e-12))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spindimer.oracle import (
-    _dephasing_residual,
+    _residual_trace_norm,
     chsh_direct_search,
     chsh_max,
     correlation_oracle,
@@ -23,6 +23,7 @@ from spindimer.spin_core import (
     bell_diagonal_state,
     fano_decompose,
     projector,
+    require_density_matrix,
     thermal_state,
 )
 
@@ -192,16 +193,41 @@ class TestTraceNormDiscord:
         with pytest.raises(ValueError, match="method"):
             trace_norm_discord(MIXED, "entropic")
 
-    def test_pauli_residual_matches_explicit_dephasing(self):
+    def test_residual_trace_norm_matches_explicit_dephasing(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            rho = random_density_matrix(rng)
+        # Poles, equator directions on both sides of the tangent frame's z = 0
+        # seam, and directions near the pole, where the residual of a state
+        # with |c1| = |c2| is nearly rank one.
+        tilt = np.array([1e-2, 1e-3, 1e-4])
+        special = np.concatenate([
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+            [[1.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.6, -0.8, 0.0], [0.6, -0.8, -0.0]],
+            np.stack([np.sin(tilt), np.zeros(3), np.cos(tilt)], axis=-1),
+        ])
+        full_rank = [(random_density_matrix(rng), random_directions(rng, 10)) for _ in range(20)]
+        degenerate = [
+            bell_diagonal_state(np.array([-0.5, -0.5, 0.0])),
+            projector(SINGLET),
+            MIXED,
+            projector(np.kron([0.6, 0.8j], [1.0, 0.0])),
+        ]
+        cases = full_rank + [(rho, special) for rho in [full_rank[0][0]] + degenerate]
+        for rho, n in cases:
             fano = fano_decompose(rho)
-            n = random_directions(rng, 10)
-            residual = _dephasing_residual(fano, n)
-            for nk, rk in zip(n, residual):
+            norms = _residual_trace_norm(fano.a, fano.tensor, n)
+            assert norms.shape == (len(n),)
+            for nk, value in zip(n, norms):
                 theta, phi = angles(nk)
-                assert np.max(np.abs(rk - (rho - measurement_dephase(rho, theta, phi)))) < 1e-14
+                assert abs(value - trace_norm(rho - measurement_dephase(rho, theta, phi))) < 1e-14
+
+    def test_residual_trace_norm_of_a_stack_matches_each_state(self):
+        rng = np.random.default_rng(19)
+        fano = fano_decompose(np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4))
+        n = random_directions(rng, 2 * 3 * 5).reshape(2, 3, 5, 3)
+        stacked = _residual_trace_norm(fano.a, fano.tensor, n)
+        assert stacked.shape == (2, 3, 5)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(stacked[index], _residual_trace_norm(fano.a[index], fano.tensor[index], n[index]))
 
     def test_numerical_min_is_below_every_explicit_direction(self):
         rng = np.random.default_rng(12)
@@ -262,6 +288,15 @@ class TestRandomStates:
         assert np.array_equal(rho1, rho2)
         assert abs(np.trace(rho1).real - 1.0) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho1)) > -1e-12
+
+    def test_stacked_bell_diagonal_draw_equals_single_draws(self):
+        stack = random_bell_diagonal_state(np.random.default_rng(404), 50)
+        rng = np.random.default_rng(404)
+        singles = [random_bell_diagonal_state(rng) for _ in range(50)]
+        assert singles[0].shape == (4, 4)
+        assert stack.shape == (50, 4, 4)
+        assert stack.tobytes() == np.array(singles).tobytes()
+        require_density_matrix(stack)
 
     def test_bell_diagonal_states_have_no_local_moments(self):
         rng = np.random.default_rng(321)
