@@ -291,17 +291,32 @@ def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
     return value.reshape(count, starts.shape[1]).min(axis=-1)
 
 
-def werner_state(p: float) -> np.ndarray:
-    """Singlet-weighted mixture p |psi-><psi-| + (1 - p) I/4."""
+def werner_state(p) -> np.ndarray:
+    """Singlet-weighted mixture p |psi-><psi-| + (1 - p) I/4.
+
+    A scalar p gives one state of shape (4, 4), an array of p a stack of
+    shape p.shape + (4, 4), each state equal to the call on its own p; a
+    stack with an invalid p is rejected by the index of its state, as in
+    `werner state[3] has a negative eigenvalue below -1e-10`.
+    """
+    p = np.asarray(p, dtype=float)[..., None, None]
     rho = p * projector(SINGLET) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
     return require_density_matrix(rho, name="werner state")
 
 
-def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random two-qubit state from the Ginibre construction."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_density_matrix(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Full-rank random two-qubit state from the Ginibre construction.
+
+    `size` follows numpy's convention, as in `random_bell_diagonal_state`:
+    None draws one state of shape (4, 4), an int or tuple a stack of shape
+    size + (4, 4) that equals as many single draws from the same generator,
+    in order (each state takes 16 real parts, then 16 imaginary parts).
+    """
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    draws = rng.standard_normal(shape + (2, 4, 4))
+    g = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_bell_diagonal_state(rng: np.random.Generator, size=None) -> np.ndarray:

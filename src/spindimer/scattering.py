@@ -78,13 +78,19 @@ def exclusive_structure_factor(
     r1: np.ndarray,
     r2: np.ndarray,
 ) -> np.ndarray:
-    """3x3 tensor of transition intensities out of `initial`.
+    """3x3 tensor of transition intensities out of `initial`, per wave vector.
 
     Entry (a, b) is sum_f <i|U_a^dag|f><f|U_b|i> with
     U_a = S_1^a e^{i q.r1} + S_2^a e^{i q.r2}, the sum running over the
     eigenstates whose energy differs from the initial one (elastic terms
     drop out). For the singlet this reduces to delta_ab times the scalar
     structure factor.
+
+    `initial` is one normalized 4-component state and `r1`, `r2` are
+    3-vectors. `q` has shape (3,), giving one tensor of shape (3, 3), or
+    (..., 3) for a stack of wave vectors, giving shape (..., 3, 3). Every
+    product is a matmul over the trailing axes, so each tensor of a stack
+    equals the call on its own `q` bit for bit.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (4,):
@@ -92,12 +98,19 @@ def exclusive_structure_factor(
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     q = _finite(q, "q")
-    if q.shape != (3,):
-        raise ValueError("q must be a 3-vector")
+    if q.shape[-1:] != (3,):
+        raise ValueError(f"q must be a 3-vector or a stack of them, got shape {q.shape}")
+    r1 = _finite(r1, "r1")
+    r2 = _finite(r2, "r2")
+    for name, r in (("r1", r1), ("r2", r2)):
+        if r.shape != (3,):
+            raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
 
-    phase1 = np.exp(1j * np.dot(q, _finite(r1, "r1")))
-    phase2 = np.exp(1j * np.dot(q, _finite(r2, "r2")))
-    ops = [phase1 * s1 + phase2 * s2 for s1, s2 in zip(SPIN_SITE_1, SPIN_SITE_2)]
+    # (..., 1, 3) @ (3, 1): each q.r goes through the dot kernel of np.dot.
+    rows = q[..., None, :]
+    phase1 = np.exp(1j * (rows @ r1[:, None]))[..., None, :]
+    phase2 = np.exp(1j * (rows @ r2[:, None]))[..., None, :]
+    ops = phase1 * SPIN_SITE_1 + phase2 * SPIN_SITE_2  # (..., 3, 4, 4)
 
     energies = eigensys.energies
     e_initial = float(
@@ -106,11 +119,9 @@ def exclusive_structure_factor(
     atol = 1e-9 * max(1.0, float(np.max(np.abs(energies))))
     final = np.abs(energies - e_initial) > atol
 
-    # amplitudes[a, f] = <f|U_a|i> for the selected final states
-    amplitudes = np.array(
-        [eigensys.states[:, final].conj().T @ (op @ initial) for op in ops]
-    )
-    return amplitudes.conj() @ amplitudes.T
+    # amplitudes[..., a, f] = <f|U_a|i> for the selected final states
+    amplitudes = (eigensys.states[:, final].conj().T @ (ops @ initial)[..., None])[..., 0]
+    return amplitudes.conj() @ amplitudes.swapaxes(-1, -2)
 
 
 def integrated_structure_factor(

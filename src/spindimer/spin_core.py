@@ -27,8 +27,8 @@ PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in _PAULI_WITH_IDENTITY] for s i
 # Same-axis two-site Pauli products sigma_a (x) sigma_a, and spin-1/2 site
 # operators S = sigma/2 embedded on each site.
 SIGMA_SIGMA = PAULI_PRODUCTS[[1, 2, 3], [1, 2, 3]]
-SPIN_SITE_1 = tuple(np.kron(0.5 * s, IDENTITY_2) for s in PAULI)
-SPIN_SITE_2 = tuple(np.kron(IDENTITY_2, 0.5 * s) for s in PAULI)
+SPIN_SITE_1 = np.array([np.kron(0.5 * s, IDENTITY_2) for s in PAULI])
+SPIN_SITE_2 = np.array([np.kron(IDENTITY_2, 0.5 * s) for s in PAULI])
 TOTAL_SZ = SPIN_SITE_1[2] + SPIN_SITE_2[2]
 
 _E = np.eye(4, dtype=complex)

@@ -158,12 +158,10 @@ def run_all_checks() -> VerificationReport:
     # -- structure-factor chain ------------------------------------------
     rng = np.random.default_rng(101)
     eig = eigensystem(build_hamiltonian(DimerModel(coupling=1.0)))
-    r1, r2 = np.array([0.0, 0.0, 1.0]), np.zeros(3)
-    worst = 0.0
-    for x in rng.uniform(0.0, two_pi, 1000):
-        tensor = exclusive_structure_factor(SINGLET, eig, np.array([0.0, 0.0, x]), r1, r2)
-        expected = scalar_structure_factor(x) * np.eye(3)
-        worst = max(worst, float(np.max(np.abs(tensor - expected))))
+    x = rng.uniform(0.0, two_pi, 1000)
+    q = np.stack([np.zeros_like(x), np.zeros_like(x), x], axis=-1)
+    tensors = exclusive_structure_factor(SINGLET, eig, q, np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    worst = np.max(np.abs(tensors - scalar_structure_factor(x)[:, None, None] * np.eye(3)))
     report.checks.append(_check("exclusive vs scalar structure factor", worst, 1e-12))
 
     # -- symmetry and correlation structure ------------------------------
@@ -233,7 +231,7 @@ def run_all_checks() -> VerificationReport:
     )
 
     rng = np.random.default_rng(303)
-    random_states = np.array([oracle.random_density_matrix(rng) for _ in range(1000)])
+    random_states = oracle.random_density_matrix(rng, 1000)
     chsh = oracle.chsh_max(random_states, "optimized")
     excess = np.max(chsh - TSIRELSON_BOUND)
     report.checks.append(
@@ -246,10 +244,9 @@ def run_all_checks() -> VerificationReport:
     )
 
     # -- oracle self-consistency -----------------------------------------
-    worst = max(
-        abs(oracle.wootters_concurrence(oracle.werner_state(p)) - max(0.0, (3.0 * p - 1.0) / 2.0))
-        for p in np.linspace(0.0, 1.0, 100)
-    )
+    p = np.linspace(0.0, 1.0, 100)
+    concurrences = oracle.wootters_concurrence(oracle.werner_state(p))
+    worst = np.max(np.abs(concurrences - np.maximum(0.0, (3.0 * p - 1.0) / 2.0)))
     report.checks.append(_check("Werner concurrence matches (3p-1)/2 form", worst, 1e-10))
 
     rng = np.random.default_rng(404)
@@ -260,8 +257,10 @@ def run_all_checks() -> VerificationReport:
     report.checks.append(_check("trace-norm discord numerical vs closed form", worst, 1e-6))
 
     rng = np.random.default_rng(505)
-    probes = [oracle.werner_state(0.8), bell_diagonal_state(np.array([-1.0, -1.0, -1.0]))]
-    probes = np.array(probes + [oracle.random_density_matrix(rng) for _ in range(3)])
+    probes = np.concatenate([
+        [oracle.werner_state(0.8), bell_diagonal_state(np.array([-1.0, -1.0, -1.0]))],
+        oracle.random_density_matrix(rng, 3),
+    ])
     worst = np.max(np.abs(oracle.chsh_direct_search(probes) - oracle.chsh_max(probes, "optimized")))
     report.checks.append(_check("CHSH direct angle search vs Horodecki value", worst, 1e-6))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spindimer import cli
+from spindimer import cli, verify
 from spindimer.cli import main
 from spindimer.quantifiers import QUANTIFIER_FUNCTIONS
 from spindimer.scattering import scattering_phase
@@ -478,6 +478,26 @@ class TestVerify:
         assert main(["verify", "--json", str(json_path)]) == 2
         assert json_path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
+
+    def test_suite_makes_one_stacked_call_per_block(self, monkeypatch):
+        calls = {"exclusive_structure_factor": 0, "random_density_matrix": 0, "werner_state": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(verify, "exclusive_structure_factor")
+        counted(verify.oracle, "random_density_matrix")
+        counted(verify.oracle, "werner_state")
+        assert verify.run_all_checks().all_pass
+        assert calls["exclusive_structure_factor"] == 1
+        assert 1 <= calls["random_density_matrix"] <= 2
+        assert 1 <= calls["werner_state"] <= 2
 
 
 class TestArgumentErrors:

@@ -289,6 +289,28 @@ class TestRandomStates:
         assert abs(np.trace(rho1).real - 1.0) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho1)) > -1e-12
 
+    def test_stacked_ginibre_draw_equals_single_draws(self):
+        stack = random_density_matrix(np.random.default_rng(303), 50)
+        rng = np.random.default_rng(303)
+        singles = [random_density_matrix(rng) for _ in range(50)]
+        assert singles[0].shape == (4, 4)
+        assert stack.shape == (50, 4, 4)
+        assert stack.tobytes() == np.array(singles).tobytes()
+        require_density_matrix(stack)
+        assert random_density_matrix(np.random.default_rng(303), (2, 3)).shape == (2, 3, 4, 4)
+
+    def test_stacked_werner_states_equal_single_states(self):
+        p = np.linspace(0.0, 1.0, 100)
+        stack = werner_state(p)
+        assert stack.shape == (100, 4, 4)
+        assert stack.tobytes() == np.array([werner_state(pk) for pk in p]).tobytes()
+
+    def test_werner_stack_names_the_invalid_p_by_its_index(self):
+        with pytest.raises(ValueError, match=r"^werner state\[2\] has a negative eigenvalue below"):
+            werner_state(np.array([0.0, 0.5, 1.5, 1.0]))
+        with pytest.raises(ValueError, match=r"^werner state\[1, 0\] has a non-finite entry$"):
+            werner_state(np.array([[0.5, 0.1], [np.nan, 1.0]]))
+
     def test_stacked_bell_diagonal_draw_equals_single_draws(self):
         stack = random_bell_diagonal_state(np.random.default_rng(404), 50)
         rng = np.random.default_rng(404)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,8 @@ from spindimer.scattering import (
 from spindimer.spin_core import (
     DimerModel,
     SINGLET,
+    TRIPLET_PLUS,
+    TRIPLET_ZERO,
     build_hamiltonian,
     eigensystem,
     projector,
@@ -60,13 +64,36 @@ class TestScalarStructureFactor:
 
 class TestExclusiveStructureFactor:
     def test_singlet_matches_scalar_form(self, dimer_eigensystem):
-        rng = np.random.default_rng(11)
-        r1, r2 = np.array([0.0, 0.0, 1.0]), np.zeros(3)
-        for x in rng.uniform(0.0, TWO_PI, 200):
-            q = np.array([0.0, 0.0, x])
-            tensor = exclusive_structure_factor(SINGLET, dimer_eigensystem, q, r1, r2)
-            expected = scalar_structure_factor(x) * np.eye(3)
-            assert np.max(np.abs(tensor - expected)) < 1e-12
+        x = np.random.default_rng(11).uniform(0.0, TWO_PI, 200)
+        q = np.stack([np.zeros_like(x), np.zeros_like(x), x], axis=-1)
+        tensors = exclusive_structure_factor(SINGLET, dimer_eigensystem, q, np.array([0.0, 0.0, 1.0]), np.zeros(3))
+        assert tensors.shape == (200, 3, 3)
+        assert np.max(np.abs(tensors - scalar_structure_factor(x)[:, None, None] * np.eye(3))) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(1000, 3), (2, 3, 3)])
+    @pytest.mark.parametrize("initial", [SINGLET, TRIPLET_ZERO, (SINGLET + TRIPLET_PLUS) / np.sqrt(2.0)],
+                             ids=["singlet", "triplet_zero", "mixed_manifolds"])
+    def test_stack_equals_per_q_calls_bit_for_bit(self, dimer_eigensystem, shape, initial):
+        rng = np.random.default_rng(12)
+        q = rng.normal(size=shape)
+        r1, r2 = rng.normal(size=3), rng.normal(size=3)
+        stack = exclusive_structure_factor(initial, dimer_eigensystem, q, r1, r2)
+        singles = [exclusive_structure_factor(initial, dimer_eigensystem, row, r1, r2) for row in q.reshape(-1, 3)]
+        assert singles[0].shape == (3, 3)
+        assert stack.shape == shape[:-1] + (3, 3)
+        assert stack.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("name", ["r1", "r2"])
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 3)])
+    def test_rejects_positions_that_are_not_3_vectors(self, dimer_eigensystem, name, shape):
+        positions = {"r1": np.array([0.0, 0.0, 1.0]), "r2": np.zeros(3), name: np.ones(shape)}
+        with pytest.raises(ValueError, match=rf"^{name} must be a 3-vector, got shape {re.escape(str(shape))}$"):
+            exclusive_structure_factor(SINGLET, dimer_eigensystem, np.ones((4, 3)), **positions)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)])
+    def test_rejects_wave_vectors_that_are_not_3_vectors(self, dimer_eigensystem, shape):
+        with pytest.raises(ValueError, match="q must be a 3-vector or a stack of them"):
+            exclusive_structure_factor(SINGLET, dimer_eigensystem, np.ones(shape), np.zeros(3), np.ones(3))
 
     def test_zero_wavevector_gives_zero_tensor(self, dimer_eigensystem):
         tensor = exclusive_structure_factor(
