@@ -123,11 +123,7 @@ def _cmd_sweep(args) -> int:
 
 
 def build_point_report(x: float, coupling: float, g: float, temperature: float | None) -> dict:
-    comparison = verify.closed_form_vs_oracle(x)
-    report = dict(comparison["closed_form"])
-    report["oracle"] = comparison["oracle"]
-    report["delta"] = comparison["delta"]
-    report["discord_ratio"] = comparison["discord_ratio"]
+    report = verify.closed_form_vs_oracle(x)
     if temperature is not None:
         if temperature <= 0.0:
             raise ValueError("--temperature must be positive for thermal quantities")

@@ -41,6 +41,8 @@ _MAX_ROUNDS = 2000
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 # Largest cross-axis correlator `correlation_oracle` lets through.
 _CROSS_ATOL = 1e-12
+# Largest Bloch-vector entry or off-diagonal correlator of a Bell-diagonal state.
+_BELL_DIAGONAL_ATOL = 1e-10
 
 SPIN_FLIP = PAULI_PRODUCTS[2, 2]  # Y (x) Y
 CHSH_FIXED_OPERATOR = np.sqrt(2.0) * (PAULI_PRODUCTS[1, 1] + PAULI_PRODUCTS[3, 3])  # sqrt(2) (XX + ZZ)
@@ -147,10 +149,10 @@ def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
     return _per_state(-_sphere_search(negative_chsh, pairs, len(transposed)).reshape(shape))
 
 
-def _bell_diagonal_correlations(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    fano = fano_decompose(rho, atol=atol)
+def _bell_diagonal_correlations(rho: np.ndarray) -> np.ndarray:
+    fano = fano_decompose(rho, atol=_BELL_DIAGONAL_ATOL)
     local = np.maximum(np.abs(fano.a).max(axis=-1), np.abs(fano.b).max(axis=-1))
-    _reject_first((local > atol) | ~np.asarray(fano.diagonal), "state",
+    _reject_first((local > _BELL_DIAGONAL_ATOL) | ~np.asarray(fano.diagonal), "state",
                   "is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")
     return fano.c
 
@@ -177,16 +179,14 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float 
         raise ValueError(
             f"unknown discord method {method!r}; expected 'closed_form_bell_diagonal' or 'numerical_min'"
         )
-    # Validated in the caller's shape first, so that an error names the
-    # state by its index there; the search runs over a flat stack.
-    rho = require_density_matrix(rho)
-    fano = fano_decompose(rho.reshape(-1, 4, 4))
+    fano = fano_decompose(rho)
+    a, tensor = fano.a.reshape(-1, 3), fano.tensor.reshape(-1, 3, 3)
 
     def residual_norm(directions, states):
-        return _residual_trace_norm(fano.a[states], fano.tensor[states], directions[..., 0, :])
+        return _residual_trace_norm(a[states], tensor[states], directions[..., 0, :])
 
-    found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(fano.c))
-    return _per_state(found.reshape(rho.shape[:-2]))
+    found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(a))
+    return _per_state(found.reshape(fano.a.shape[:-1]))
 
 
 def _residual_trace_norm(a: np.ndarray, tensor: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -86,8 +86,9 @@ def exclusive_structure_factor(
     drop out). For the singlet this reduces to delta_ab times the scalar
     structure factor.
 
-    `initial` is one normalized 4-component state and `r1`, `r2` are
-    3-vectors. `q` has shape (3,), giving one tensor of shape (3, 3), or
+    `initial` is one normalized 4-component state inside one energy level
+    (an eigenstate, or a superposition of degenerate ones), and `r1`, `r2`
+    are 3-vectors. `q` has shape (3,), giving one tensor of shape (3, 3), or
     (..., 3) for a stack of wave vectors, giving shape (..., 3, 3). Every
     product is a matmul over the trailing axes, so each tensor of a stack
     equals the call on its own `q` bit for bit.
@@ -113,10 +114,11 @@ def exclusive_structure_factor(
     ops = phase1 * SPIN_SITE_1 + phase2 * SPIN_SITE_2  # (..., 3, 4, 4)
 
     energies = eigensys.energies
-    e_initial = float(
-        np.sum(np.abs(eigensys.states.conj().T @ initial) ** 2 * energies)
-    )
+    weights = np.abs(eigensys.states.conj().T @ initial) ** 2
+    e_initial = float(np.sum(weights * energies))
     atol = 1e-9 * max(1.0, float(np.max(np.abs(energies))))
+    if np.sum(weights * (energies - e_initial) ** 2) > atol**2:
+        raise ValueError("initial state must lie in one energy level of the hamiltonian")
     final = np.abs(energies - e_initial) > atol
 
     # amplitudes[..., a, f] = <f|U_a|i> for the selected final states

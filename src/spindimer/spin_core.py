@@ -57,15 +57,15 @@ def _reject_first(bad: np.ndarray, name: str, problem: str) -> None:
         raise ValueError(f"{name} {problem}")
 
 
-def require_hermitian(op: np.ndarray, name: str = "operator", atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def require_hermitian(op: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate a finite 4x4 Hermitian matrix, or a stack of them of shape (..., 4, 4)."""
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (4, 4):
         raise ValueError(f"{name} must be a 4x4 matrix, got shape {op.shape}")
     # Checked first: every later check is a comparison, which NaN passes.
     _reject_first(~np.isfinite(op).all(axis=(-2, -1)), name, "has a non-finite entry")
-    _reject_first(np.abs(op - op.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > atol, name,
-                  f"is not Hermitian within {atol:g}")
+    _reject_first(np.abs(op - op.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > HERMITICITY_ATOL, name,
+                  f"is not Hermitian within {HERMITICITY_ATOL:g}")
     return op
 
 

@@ -8,12 +8,13 @@ them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import oracle, quantifiers
 from .quantifiers import (
+    DISCORD_VARIANTS,
     QUANTIFIER_FUNCTIONS,
     bell_mean,
     bell_violation_window,
@@ -46,11 +47,12 @@ from .spin_core import (
 
 @dataclass(frozen=True)
 class CheckResult:
+    # In the key order of a check in the verify JSON, which `asdict` follows.
     name: str
+    metric: str
     observed: float
     tolerance: float
     passed: bool
-    metric: str = "max dev"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -72,16 +74,7 @@ class VerificationReport:
     def as_dict(self) -> dict:
         return {
             "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "name": c.name,
-                    "metric": c.metric,
-                    "observed": c.observed,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "discrepancies": self.discrepancies,
         }
 
@@ -109,7 +102,8 @@ def implied_state(x) -> np.ndarray:
 
 def closed_form_vs_oracle(x: float) -> dict:
     """Closed-form quantifiers at x next to brute-force values on the
-    implied state, with their differences and discord ratios."""
+    implied state, with their differences and discord ratios: the flat
+    point report, keyed x, the quantifiers, oracle, delta, discord_ratio."""
     report = evaluate_quantifiers(x)
     rho = implied_state(x)
     oracle_values = {
@@ -126,28 +120,14 @@ def closed_form_vs_oracle(x: float) -> dict:
         "correlation": report.ReC - oracle_values["correlation"],
     }
     ratios = {
-        "oracle_to_verbatim": (
-            oracle_values["discord_trace_norm"] / report.discord_verbatim
-            if report.discord_verbatim > 1e-12
-            else None
-        ),
-        "oracle_to_figure": (
-            oracle_values["discord_trace_norm"] / report.discord_figure
-            if report.discord_figure > 1e-12
-            else None
-        ),
+        f"oracle_to_{variant}": oracle_values["discord_trace_norm"] / value if value > 1e-12 else None
+        for variant, value in (("verbatim", report.discord_verbatim), ("figure", report.discord_figure))
     }
-    return {"closed_form": report.as_dict(), "oracle": oracle_values, "delta": deltas, "discord_ratio": ratios}
+    return {**report.as_dict(), "oracle": oracle_values, "delta": deltas, "discord_ratio": ratios}
 
 
 def _check(name, observed, tolerance, metric="max dev") -> CheckResult:
-    return CheckResult(
-        name=name,
-        observed=float(observed),
-        tolerance=tolerance,
-        passed=bool(observed <= tolerance),
-        metric=metric,
-    )
+    return CheckResult(name, metric, float(observed), tolerance, bool(observed <= tolerance))
 
 
 def run_all_checks() -> VerificationReport:
@@ -205,26 +185,23 @@ def run_all_checks() -> VerificationReport:
     report.checks.append(_check("susceptibility pipeline reproduces witness", worst, 1e-12))
 
     # -- window endpoints vs closed-form roots ---------------------------
-    lo, hi = witness_window()
-    ref = float(np.arccos((3.0 - np.sqrt(57.0)) / 6.0))
-    worst = max(abs(lo - ref), abs(hi - (two_pi - ref)))
-    report.checks.append(_check("witness window endpoints vs arccos form", worst, 1e-6))
-
-    lo, hi = concurrence_window()
-    ref = float(np.arccos((3.0 - np.sqrt(33.0)) / 6.0))
-    worst = max(abs(lo - ref), abs(hi - (two_pi - ref)))
-    report.checks.append(_check("concurrence window endpoints vs arccos form", worst, 1e-6))
-
-    lo, hi = bell_violation_window()
-    ref = float(np.arccos(1.0 - np.sqrt(2.0)))
-    worst = max(abs(lo - ref), abs(hi - (two_pi - ref)))
-    report.checks.append(_check("bell threshold crossings vs arccos form", worst, 1e-6))
+    windows = {}
+    for name, window, cos_root in (
+        ("witness window endpoints", witness_window, (3.0 - np.sqrt(57.0)) / 6.0),
+        ("concurrence window endpoints", concurrence_window, (3.0 - np.sqrt(33.0)) / 6.0),
+        ("bell threshold crossings", bell_violation_window, 1.0 - np.sqrt(2.0)),
+    ):
+        lo, hi = windows[window] = window()
+        ref = float(np.arccos(cos_root))
+        worst = max(abs(lo - ref), abs(hi - (two_pi - ref)))
+        report.checks.append(_check(f"{name} vs arccos form", worst, 1e-6))
 
     # -- bounds ------------------------------------------------------------
+    bell_curve = bell_mean(grid)
     report.checks.append(
         _check(
             "Tsirelson bound on the closed-form bell curve",
-            float(np.max(bell_mean(grid))) - TSIRELSON_BOUND,
+            float(np.max(bell_curve)) - TSIRELSON_BOUND,
             1e-12,
             metric="max excess",
         )
@@ -267,10 +244,10 @@ def run_all_checks() -> VerificationReport:
     # -- closed forms vs oracle at the pure point -------------------------
     comparison = closed_form_vs_oracle(np.pi)
     worst = max(
-        abs(comparison["closed_form"]["concurrence"] - 1.0),
-        abs(comparison["closed_form"]["eof"] - 1.0),
-        abs(comparison["closed_form"]["bell"] - TSIRELSON_BOUND),
-        abs(comparison["closed_form"]["witness"] + 1.0),
+        abs(comparison["concurrence"] - 1.0),
+        abs(comparison["eof"] - 1.0),
+        abs(comparison["bell"] - TSIRELSON_BOUND),
+        abs(comparison["witness"] + 1.0),
         abs(comparison["oracle"]["concurrence"] - 1.0),
         abs(comparison["oracle"]["chsh_fixed"] - TSIRELSON_BOUND),
         abs(comparison["oracle"]["discord_trace_norm"] - 1.0),
@@ -307,16 +284,21 @@ def run_all_checks() -> VerificationReport:
     worst = np.max(np.abs(fano_reconstruct(fano_decompose(states)) - states))
     report.checks.append(_check("Pauli decompose/reconstruct round trip", worst, 1e-12))
 
-    report.discrepancies = _discrepancy_table()
+    report.discrepancies = _discrepancy_table(
+        grid, bell_curve, windows[bell_violation_window], windows[concurrence_window]
+    )
     return report
 
 
-def _discrepancy_table() -> list[dict]:
-    """Quantified table of the documented formula-level inconsistencies."""
+def _discrepancy_table(grid, bell_curve, bell_bounds, concurrence_bounds) -> list[dict]:
+    """Quantified table of the documented formula-level inconsistencies,
+    from the suite's 1001-point phase grid on [0, 2 pi], the closed-form
+    bell curve on it and the two windows."""
     two_pi = 2.0 * np.pi
     entries = []
 
     half_pi = np.pi / 2.0
+    verbatim, figure = (float(geometric_discord(half_pi, variant)) for variant in DISCORD_VARIANTS)
     entries.append(
         {
             "description": (
@@ -324,11 +306,9 @@ def _discrepancy_table() -> list[dict]:
                 "'verbatim' = (1 - cos x)/4 stays positive at x = pi/2 while "
                 "'figure-consistent' = |ReC|/2 vanishes there with the correlation"
             ),
-            "gap_at_half_pi": float(
-                geometric_discord(half_pi, "verbatim") - geometric_discord(half_pi, "figure-consistent")
-            ),
-            "verbatim_at_half_pi": float(geometric_discord(half_pi, "verbatim")),
-            "figure_at_half_pi": float(geometric_discord(half_pi, "figure-consistent")),
+            "gap_at_half_pi": verbatim - figure,
+            "verbatim_at_half_pi": verbatim,
+            "figure_at_half_pi": figure,
             "both_at_pi": float(geometric_discord(np.pi, "verbatim")),
         }
     )
@@ -356,8 +336,7 @@ def _discrepancy_table() -> list[dict]:
         }
     )
 
-    grid = np.linspace(0.0, two_pi, 1001)
-    gaps = np.abs(np.asarray(bell_mean(grid)) - oracle.chsh_max(implied_state(grid), "fixed"))
+    gaps = np.abs(bell_curve - oracle.chsh_max(implied_state(grid), "fixed"))
     entries.append(
         {
             "description": (
@@ -370,8 +349,8 @@ def _discrepancy_table() -> list[dict]:
         }
     )
 
-    b_lo, b_hi = bell_violation_window()
-    c_lo, c_hi = concurrence_window()
+    b_lo, b_hi = bell_bounds
+    c_lo, c_hi = concurrence_bounds
     mid_left = 0.5 * (b_lo + c_lo)
     mid_right = 0.5 * (c_hi + b_hi)
     entries.append(

@@ -222,6 +222,15 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines(keepends=True)
         assert "".join(lines[:10]) == (DATA / "report_8.5.golden.txt").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("golden, argv", [
+        # x = pi/2, where the figure-consistent discord vanishes and its ratio is null.
+        ("report_1.5707963267948966.golden.json", ["--x", "1.5707963267948966"]),
+        ("report_8.5_thermal.golden.json", ["--x", "8.5", "--temperature", "0.7", "--coupling", "1.3", "--g", "2.1"]),
+    ])
+    def test_json_report_matches_golden(self, golden, argv):
+        report = self.run_json(["report", *argv, "--format", "json"])
+        assert_matches_golden(report, json.loads((DATA / golden).read_text(encoding="utf-8")))
+
     @pytest.mark.parametrize("argv", [
         ["--x", "nan"],
         ["--q", "inf,0,0", "--r1", "0,0,0", "--r2", "1,0,0"],
@@ -480,7 +489,7 @@ class TestVerify:
         assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
 
     def test_suite_makes_one_stacked_call_per_block(self, monkeypatch):
-        calls = {"exclusive_structure_factor": 0, "random_density_matrix": 0, "werner_state": 0}
+        calls = {"exclusive_structure_factor": 0, "random_density_matrix": 0, "werner_state": 0, "scan_roots": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -494,10 +503,14 @@ class TestVerify:
         counted(verify, "exclusive_structure_factor")
         counted(verify.oracle, "random_density_matrix")
         counted(verify.oracle, "werner_state")
+        # The correlation zeros and the three windows, each found once.
+        counted(verify, "scan_roots")
+        counted(verify.quantifiers, "scan_roots")
         assert verify.run_all_checks().all_pass
         assert calls["exclusive_structure_factor"] == 1
         assert 1 <= calls["random_density_matrix"] <= 2
         assert 1 <= calls["werner_state"] <= 2
+        assert calls["scan_roots"] == 4
 
 
 class TestArgumentErrors:

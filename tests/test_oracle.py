@@ -415,6 +415,19 @@ class TestStackedOracles:
         with pytest.raises(ValueError, match=r"rho\[1, 2\] has a negative eigenvalue"):
             trace_norm_discord(states, "numerical_min")
 
+    def test_numerical_discord_validates_a_stack_once(self, monkeypatch):
+        states = np.array([werner_state(0.5)] * 6).reshape(2, 3, 4, 4)
+        calls = []
+
+        def counted(rho, *args, **kwargs):
+            calls.append(np.shape(rho))
+            return require_density_matrix(rho, *args, **kwargs)
+
+        for module in ("spindimer.spin_core", "spindimer.oracle"):
+            monkeypatch.setattr(f"{module}.require_density_matrix", counted)
+        assert trace_norm_discord(states, "numerical_min").shape == (2, 3)
+        assert calls == [(2, 3, 4, 4)]
+
     @pytest.mark.parametrize("oracle", [wootters_concurrence, lambda rho: chsh_max(rho, "fixed"), chsh_max],
                              ids=["wootters", "chsh_fixed", "chsh_optimized"])
     def test_nan_entry_is_a_validation_error(self, oracle):

@@ -71,8 +71,8 @@ class TestExclusiveStructureFactor:
         assert np.max(np.abs(tensors - scalar_structure_factor(x)[:, None, None] * np.eye(3))) < 1e-12
 
     @pytest.mark.parametrize("shape", [(1000, 3), (2, 3, 3)])
-    @pytest.mark.parametrize("initial", [SINGLET, TRIPLET_ZERO, (SINGLET + TRIPLET_PLUS) / np.sqrt(2.0)],
-                             ids=["singlet", "triplet_zero", "mixed_manifolds"])
+    @pytest.mark.parametrize("initial", [SINGLET, TRIPLET_ZERO, (TRIPLET_PLUS + TRIPLET_ZERO) / np.sqrt(2.0)],
+                             ids=["singlet", "triplet_zero", "degenerate_triplets"])
     def test_stack_equals_per_q_calls_bit_for_bit(self, dimer_eigensystem, shape, initial):
         rng = np.random.default_rng(12)
         q = rng.normal(size=shape)
@@ -124,6 +124,20 @@ class TestExclusiveStructureFactor:
             exclusive_structure_factor(
                 2.0 * SINGLET, dimer_eigensystem, np.zeros(3), np.zeros(3), np.ones(3)
             )
+
+    def test_rejects_initial_state_spanning_two_levels(self, dimer_eigensystem):
+        # Its mean energy matches no level, so no term would count as elastic.
+        with pytest.raises(ValueError, match="initial state must lie in one energy level"):
+            exclusive_structure_factor(
+                (SINGLET + TRIPLET_PLUS) / np.sqrt(2.0), dimer_eigensystem, np.zeros(3), np.zeros(3), np.ones(3)
+            )
+
+    def test_degenerate_triplet_superposition_is_one_level(self, dimer_eigensystem):
+        # At q = 0 each U_a is a total spin component, which stays inside the
+        # triplet: every transition is elastic and the tensor vanishes.
+        initial = (TRIPLET_PLUS + TRIPLET_ZERO) / np.sqrt(2.0)
+        tensor = exclusive_structure_factor(initial, dimer_eigensystem, np.zeros(3), np.zeros(3), np.ones(3))
+        assert np.max(np.abs(tensor)) < 1e-12
 
 
 class TestIntegratedStructureFactor:
