@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -297,7 +298,14 @@ def _cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to the validation exit code."""
+    """argparse with usage errors mapped to the validation exit code, which
+    takes every argument that starts like a negative number (-1,0.3,0.25,
+    -1e-3 or -inf, not only argparse's own -1 and -.5) as a value, not an
+    option, so the value's own check reports it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .spin_core import (
-    IDENTITY_2,
-    PAULI,
     PAULI_PRODUCTS,
     SINGLET,
     TRIPLET_MINUS,
@@ -53,24 +51,6 @@ BELL_STATES = (
     TRIPLET_ZERO,                                   # Psi+
     SINGLET,                                        # Psi-
 )
-
-
-def trace_norm(matrix: np.ndarray) -> float:
-    """Schatten 1-norm: sum of singular values."""
-    return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
-
-
-def measurement_dephase(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """Dephasing of rho under the subsystem-1 measurement along (theta, phi).
-
-    Built from explicit 4x4 projectors; with `trace_norm` it is the
-    reference the closed-form `_residual_trace_norm` is tested against.
-    """
-    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    n_sigma = sum(ni * s for ni, s in zip(n, PAULI))
-    e0 = np.kron(0.5 * (IDENTITY_2 + n_sigma), IDENTITY_2)
-    e1 = np.kron(0.5 * (IDENTITY_2 - n_sigma), IDENTITY_2)
-    return e0 @ rho @ e0 + e1 @ rho @ e1
 
 
 def _per_state(values: np.ndarray) -> float | np.ndarray:
@@ -150,11 +130,14 @@ def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
 
 
 def _bell_diagonal_correlations(rho: np.ndarray) -> np.ndarray:
-    fano = fano_decompose(rho, atol=_BELL_DIAGONAL_ATOL)
+    """Diagonal (c1, c2, c3) of the correlation tensor of a Bell-diagonal
+    state, or of each state of a stack."""
+    fano = fano_decompose(rho)
     local = np.maximum(np.abs(fano.a).max(axis=-1), np.abs(fano.b).max(axis=-1))
-    _reject_first((local > _BELL_DIAGONAL_ATOL) | ~np.asarray(fano.diagonal), "state",
+    off = np.abs(fano.tensor * (1.0 - np.eye(3))).max(axis=(-2, -1))
+    _reject_first((local > _BELL_DIAGONAL_ATOL) | (off > _BELL_DIAGONAL_ATOL), "state",
                   "is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")
-    return fano.c
+    return np.diagonal(fano.tensor, axis1=-2, axis2=-1)
 
 
 def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float | np.ndarray:

@@ -66,8 +66,8 @@ def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     Units are (g mu_B)^2 per energy with mu_B = 1; re_c must lie in
     [-1, 1/3], the physical range of the pairwise correlation.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError("temperature must be finite and positive")
     return model.n_ions * model.g**2 * (1.0 + re_c) / (2.0 * temperature)
 
 
@@ -77,8 +77,8 @@ def witness_from_susceptibility(chi: float, temperature: float, model: DimerMode
     Composing with `susceptibility` reproduces `witness` identically; the
     g, N, S and T dependence cancels algebraically.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError("temperature must be finite and positive")
     return 3.0 * temperature * chi / (model.g**2 * model.n_ions * model.spin) - 1.0
 
 

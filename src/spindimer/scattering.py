@@ -1,7 +1,9 @@
-"""Structure factors of the dimer and the spin correlation they encode.
+"""Structure factors of the dimer.
 
-Everything here is a function of the scalar scattering phase
-x = q . (r1 - r2); vector inputs are reduced to x immediately.
+The scalar structure factor is a function of the scattering phase
+x = q . (r1 - r2) alone. The exclusive and integrated structure factors
+take the wave vector q and the site positions r1, r2 themselves, and both
+are built from the site-sum operators U_a = S_1^a e^{i q.r1} + S_2^a e^{i q.r2}.
 """
 
 from __future__ import annotations
@@ -59,16 +61,25 @@ def scalar_structure_factor(x):
     return 0.5 * (1.0 - np.cos(x))
 
 
-def correlation_from_structure(x):
-    """Same-axis spin-spin correlation extracted from the structure factor.
+def _site_sums(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Site-sum operators U_a = S_1^a e^{i q.r1} + S_2^a e^{i q.r2}.
 
-    Returns the pair (C, Re C) with C = exp(-i x) * S(x). The real part
-    cos(x) (1 - cos x)/2 is the physical correlation used by every
-    downstream quantifier; the complex value is kept for reference.
+    `q` has shape (..., 3) and `r1`, `r2` are 3-vectors; the result has
+    shape (..., 3, 4, 4), axis -3 running over a = x, y, z.
     """
-    x = _finite(x)
-    c = np.exp(-1j * x) * scalar_structure_factor(x)
-    return c, np.real(c)
+    q = _finite(q, "q")
+    if q.shape[-1:] != (3,):
+        raise ValueError(f"q must be a 3-vector or a stack of them, got shape {q.shape}")
+    r1 = _finite(r1, "r1")
+    r2 = _finite(r2, "r2")
+    for name, r in (("r1", r1), ("r2", r2)):
+        if r.shape != (3,):
+            raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
+    # (..., 1, 3) @ (3, 1): each q.r goes through the dot kernel of np.dot.
+    rows = q[..., None, :]
+    phase1 = np.exp(1j * (rows @ r1[:, None]))[..., None, :]
+    phase2 = np.exp(1j * (rows @ r2[:, None]))[..., None, :]
+    return phase1 * SPIN_SITE_1 + phase2 * SPIN_SITE_2
 
 
 def exclusive_structure_factor(
@@ -86,32 +97,22 @@ def exclusive_structure_factor(
     drop out). For the singlet this reduces to delta_ab times the scalar
     structure factor.
 
-    `initial` is one normalized 4-component state inside one energy level
-    (an eigenstate, or a superposition of degenerate ones), and `r1`, `r2`
-    are 3-vectors. `q` has shape (3,), giving one tensor of shape (3, 3), or
-    (..., 3) for a stack of wave vectors, giving shape (..., 3, 3). Every
-    product is a matmul over the trailing axes, so each tensor of a stack
-    equals the call on its own `q` bit for bit.
+    `initial` is one finite, normalized 4-component state inside one energy
+    level (an eigenstate, or a superposition of degenerate ones), and `r1`,
+    `r2` are 3-vectors. `q` has shape (3,), giving one tensor of shape
+    (3, 3), or (..., 3) for a stack of wave vectors, giving shape
+    (..., 3, 3). Every product is a matmul over the trailing axes, so each
+    tensor of a stack equals the call on its own `q` bit for bit.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (4,):
         raise ValueError("initial must be a 4-component state vector")
+    # Checked first: the norm and energy checks are comparisons, which NaN passes.
+    if not np.isfinite(initial).all():
+        raise ValueError("initial must be finite")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    q = _finite(q, "q")
-    if q.shape[-1:] != (3,):
-        raise ValueError(f"q must be a 3-vector or a stack of them, got shape {q.shape}")
-    r1 = _finite(r1, "r1")
-    r2 = _finite(r2, "r2")
-    for name, r in (("r1", r1), ("r2", r2)):
-        if r.shape != (3,):
-            raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
-
-    # (..., 1, 3) @ (3, 1): each q.r goes through the dot kernel of np.dot.
-    rows = q[..., None, :]
-    phase1 = np.exp(1j * (rows @ r1[:, None]))[..., None, :]
-    phase2 = np.exp(1j * (rows @ r2[:, None]))[..., None, :]
-    ops = phase1 * SPIN_SITE_1 + phase2 * SPIN_SITE_2  # (..., 3, 4, 4)
+    ops = _site_sums(q, r1, r2)
 
     energies = eigensys.energies
     weights = np.abs(eigensys.states.conj().T @ initial) ** 2
@@ -131,20 +132,22 @@ def integrated_structure_factor(
     q: np.ndarray,
     r1: np.ndarray,
     r2: np.ndarray,
-) -> complex:
+) -> complex | np.ndarray:
     """Energy-integrated double site sum of same-axis spin correlators.
 
-    Evaluates sum_a sum_{l,m} e^{i q.(r_l - r_m)} <S_l^a S_m^a> on rho.
+    Evaluates sum_a sum_{l,m} e^{i q.(r_l - r_m)} <S_l^a S_m^a>, which is
+    sum_a tr(rho U_a U_a^dag), as explicit traces of site operators.
     Cross-axis terms are omitted: they vanish identically for dimer
     eigenstates and thermal states (the oracle asserts this).
+
+    `rho` has shape (4, 4) or (..., 4, 4), `q` shape (3,) or (..., 3), and
+    `r1`, `r2` are 3-vectors; the leading shapes of `rho` and `q`
+    broadcast. One state at one wave vector gives a
+    Python complex, otherwise an array of the broadcast leading shape whose
+    entries equal the per-item calls bit for bit.
     """
     rho = require_density_matrix(rho)
-    positions = (np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
-    sites = (SPIN_SITE_1, SPIN_SITE_2)
-    total = 0.0 + 0.0j
-    for axis in range(3):
-        for l in range(2):
-            for m in range(2):
-                phase = np.exp(1j * scattering_phase(q, positions[l], positions[m]))
-                total += phase * np.trace(rho @ sites[l][axis] @ sites[m][axis])
-    return complex(total)
+    ops = _site_sums(q, r1, r2)
+    intensity = (ops @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
+    values = np.trace(rho @ intensity, axis1=-2, axis2=-1)
+    return values if values.ndim else complex(values)

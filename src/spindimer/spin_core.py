@@ -121,10 +121,6 @@ class EigenSystem:
     states: np.ndarray
     labels: tuple[tuple[int, int], ...]
 
-    def state(self, s: int, m_s: int) -> np.ndarray:
-        k = self.labels.index((s, m_s))
-        return self.states[:, k]
-
 
 _COUPLED_LABELS = ((1, 1), (1, 0), (1, -1), (0, 0))
 _COUPLED_STATES = (TRIPLET_PLUS, TRIPLET_ZERO, TRIPLET_MINUS, SINGLET)
@@ -170,10 +166,11 @@ def thermal_state(model: DimerModel, temperature: float) -> np.ndarray:
     """Gibbs state exp(-H/T)/Z of the dimer at temperature T (k_B = 1).
 
     T = 0 returns the projector onto the ground manifold, normalized over
-    its degeneracy, rather than taking a numerical limit.
+    its degeneracy, rather than taking a numerical limit; T = inf returns
+    the maximally mixed state. A negative or NaN temperature is rejected.
     """
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    if not temperature >= 0.0:  # NaN fails this comparison too
+        raise ValueError(f"temperature must be nonnegative, got {temperature}")
     eig = eigensystem(build_hamiltonian(model))
     energies = eig.energies
     if temperature == 0.0:
@@ -189,21 +186,17 @@ def thermal_state(model: DimerModel, temperature: float) -> np.ndarray:
 class FanoVector:
     """Pauli decomposition of a two-qubit state, or of a stack of states.
 
-    `a` and `b` are the local Bloch vectors, `tensor` the full 3x3
-    correlation tensor <sigma_i (x) sigma_j>, and `c` its diagonal.
-    `diagonal` records whether the off-diagonal correlations vanish. For a
-    stack of shape (..., 4, 4) every field carries the leading shape, and
-    `diagonal` is a boolean array.
+    `a` and `b` are the local Bloch vectors and `tensor` the full 3x3
+    correlation tensor <sigma_i (x) sigma_j>. For a stack of shape
+    (..., 4, 4) every field carries the leading shape.
     """
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
     tensor: np.ndarray
-    diagonal: bool | np.ndarray
 
 
-def fano_decompose(rho: np.ndarray, atol: float = 1e-12) -> FanoVector:
+def fano_decompose(rho: np.ndarray) -> FanoVector:
     """Bloch vectors and correlation tensor of a valid density matrix, or
     of each matrix of a stack (..., 4, 4)."""
     rho = require_density_matrix(rho)
@@ -212,16 +205,7 @@ def fano_decompose(rho: np.ndarray, atol: float = 1e-12) -> FanoVector:
     # the outer sum runs in index order like a matrix trace: the values
     # match np.trace(rho @ np.kron(sigma_i, sigma_j)) bit for bit.
     coeffs = np.einsum("ijab,...ba->...ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
-    tensor = coeffs[..., 1:, 1:]
-    off = tensor * (1.0 - np.eye(3))
-    diagonal = np.abs(off).max(axis=(-2, -1)) <= atol
-    return FanoVector(
-        a=coeffs[..., 1:, 0],
-        b=coeffs[..., 0, 1:],
-        c=np.diagonal(tensor, axis1=-2, axis2=-1).copy(),
-        tensor=tensor,
-        diagonal=diagonal if diagonal.ndim else bool(diagonal),
-    )
+    return FanoVector(a=coeffs[..., 1:, 0], b=coeffs[..., 0, 1:], tensor=coeffs[..., 1:, 1:])
 
 
 def fano_reconstruct(fano: FanoVector) -> np.ndarray:

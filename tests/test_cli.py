@@ -226,6 +226,9 @@ class TestReport:
         # x = pi/2, where the figure-consistent discord vanishes and its ratio is null.
         ("report_1.5707963267948966.golden.json", ["--x", "1.5707963267948966"]),
         ("report_8.5_thermal.golden.json", ["--x", "8.5", "--temperature", "0.7", "--coupling", "1.3", "--g", "2.1"]),
+        # A vector whose first component is negative, given as its own argument and after "=".
+        ("report_vector.golden.json", ["--q", "1.5,0.2,-0.3", "--r1", "0.1,2,0.5", "--r2", "-1,0.3,0.25"]),
+        ("report_vector.golden.json", ["--q", "1.5,0.2,-0.3", "--r1", "0.1,2,0.5", "--r2=-1,0.3,0.25"]),
     ])
     def test_json_report_matches_golden(self, golden, argv):
         report = self.run_json(["report", *argv, "--format", "json"])
@@ -235,6 +238,10 @@ class TestReport:
         ["--x", "nan"],
         ["--q", "inf,0,0", "--r1", "0,0,0", "--r2", "1,0,0"],
         ["--q", "1,0,0", "--r1", "0,nan,0", "--r2", "1,0,0"],
+        ["--x", "1", "--temperature", "nan"],
+        ["--x", "1", "--temperature", "inf"],
+        ["--x", "-inf"],
+        ["--q", "-inf,0,0", "--r1", "0,0,0", "--r2", "1,0,0"],
     ])
     def test_non_finite_point_is_a_validation_failure(self, capsys, argv):
         assert main(["report", *argv]) == 1

@@ -23,7 +23,7 @@ from spindimer.quantifiers import (
     witness_from_susceptibility,
     witness_window,
 )
-from spindimer.scattering import correlation_from_structure, scalar_structure_factor
+from spindimer.scattering import scalar_structure_factor
 from spindimer.spin_core import DimerModel
 
 TWO_PI = 2.0 * np.pi
@@ -39,6 +39,31 @@ EOF_AT_HALF_CONCURRENCE = 0.35457890266526988
 
 phases = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
 temperatures = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+
+
+class TestRealCorrelation:
+    def test_antiparallel_point(self):
+        assert real_correlation(np.pi) == -1.0
+
+    def test_zero_crossing_at_half_pi(self):
+        assert abs(real_correlation(np.pi / 2.0)) < 1e-15
+
+    def test_value_at_third_pi(self):
+        assert real_correlation(np.pi / 3.0) == pytest.approx(0.125, abs=1e-15)
+
+    def test_sign_change_roots_at_half_and_three_half_pi(self):
+        roots = scan_roots(real_correlation)
+        assert len(roots) == 2
+        assert abs(roots[0] - np.pi / 2.0) < 1e-10
+        assert abs(roots[1] - 3.0 * np.pi / 2.0) < 1e-10
+
+    def test_extremes(self):
+        grid = np.linspace(0.0, TWO_PI, 100001)
+        re_c = real_correlation(grid)
+        assert np.min(re_c) == pytest.approx(-1.0, abs=1e-9)
+        assert abs(grid[np.argmin(re_c)] - np.pi) < 1e-4
+        assert np.max(re_c) <= 0.125 + 1e-12
+        assert real_correlation(5.0 * np.pi / 3.0) == pytest.approx(0.125, abs=1e-12)
 
 
 class TestWitness:
@@ -93,11 +118,11 @@ class TestSusceptibilityPipeline:
         chi = susceptibility(1.0, -2.0 / 3.0, model)
         assert witness_from_susceptibility(chi, 1.0, model) == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("bad_temp", [0.0, -1.0])
+    @pytest.mark.parametrize("bad_temp", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_non_positive_temperature(self, bad_temp):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^temperature must be finite and positive$"):
             susceptibility(bad_temp, 0.0, DimerModel())
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^temperature must be finite and positive$"):
             witness_from_susceptibility(1.0, bad_temp, DimerModel())
 
     @given(phases, temperatures, st.floats(min_value=0.5, max_value=5.0))
@@ -226,7 +251,7 @@ class TestQuantifierTable:
         for name, column in table.items():
             assert column.tobytes() == np.asarray(QUANTIFIER_FUNCTIONS[name](x), dtype=float).tobytes(), name
         # cos(x) S(x) is exactly the real part of the complex C = exp(-ix) S(x).
-        assert real_correlation(x).tobytes() == correlation_from_structure(x)[1].tobytes()
+        assert real_correlation(x).tobytes() == np.real(np.exp(-1j * x) * scalar_structure_factor(x)).tobytes()
 
     def test_concurrence_clipped_at_exactly_zero_is_not_negative_zero(self):
         # cos(pi) = -1 exactly, so Re C = -1/3 and 1 + 3 Re C rounds to exactly 0.

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from spindimer.quantifiers import scan_roots
+from spindimer.oracle import random_density_matrix
 from spindimer.scattering import (
-    correlation_from_structure,
     exclusive_structure_factor,
     integrated_structure_factor,
     scalar_structure_factor,
     scattering_phase,
 )
 from spindimer.spin_core import (
+    SPIN_SITE_1,
+    SPIN_SITE_2,
     DimerModel,
     SINGLET,
     TRIPLET_PLUS,
@@ -119,6 +120,14 @@ class TestExclusiveStructureFactor:
         tensor = exclusive_structure_factor(SINGLET, dimer_eigensystem, q, r1, r2)
         assert np.max(np.abs(tensor - scalar_structure_factor(x) * np.eye(3))) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_state(self, dimer_eigensystem, bad):
+        # NaN passes the norm and energy-level comparisons, so it must be caught before them.
+        with pytest.raises(ValueError, match="^initial must be finite$"):
+            exclusive_structure_factor(
+                np.array([bad, 0.0, 0.0, 0.0]), dimer_eigensystem, np.ones(3), np.zeros(3), np.ones(3)
+            )
+
     def test_rejects_unnormalized_initial_state(self, dimer_eigensystem):
         with pytest.raises(ValueError, match="normalized"):
             exclusive_structure_factor(
@@ -140,7 +149,50 @@ class TestExclusiveStructureFactor:
         assert np.max(np.abs(tensor)) < 1e-12
 
 
+def site_term_sum(rho, q, r1, r2):
+    """The integrated structure factor as its twelve terms
+    e^{i q.(r_l - r_m)} tr(rho S_l^a S_m^a), one phase and one trace each."""
+    positions = (r1, r2)
+    sites = (SPIN_SITE_1, SPIN_SITE_2)
+    total = 0.0 + 0.0j
+    for axis in range(3):
+        for l in range(2):
+            for m in range(2):
+                phase = np.exp(1j * scattering_phase(q, positions[l], positions[m]))
+                total += phase * np.trace(rho @ sites[l][axis] @ sites[m][axis])
+    return complex(total)
+
+
 class TestIntegratedStructureFactor:
+    def test_matches_the_twelve_term_sum_on_random_states(self):
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(25):
+            rho = random_density_matrix(rng, 10)
+            q = rng.uniform(-4.0, 4.0, (10, 3))
+            r1, r2 = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+            values = integrated_structure_factor(rho, q, r1, r2)
+            assert values.shape == (10,)
+            for k in range(10):
+                worst = max(worst, abs(values[k] - site_term_sum(rho[k], q[k], r1, r2)))
+        assert worst < 1e-13
+
+    def test_stack_equals_per_item_calls_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        rho = random_density_matrix(rng, (4, 5))
+        q = rng.normal(size=(4, 5, 3))
+        r1, r2 = rng.normal(size=3), rng.normal(size=3)
+        single = integrated_structure_factor(rho[0, 0], q[0, 0], r1, r2)
+        assert type(single) is complex
+        # Both stacked, one of them stacked, and leading shapes (4, 1) and (5,) broadcast to (4, 5).
+        cases = [(rho, q, lambda i: (rho[i], q[i])), (rho, q[0, 0], lambda i: (rho[i], q[0, 0])),
+                 (rho[0, 0], q, lambda i: (rho[0, 0], q[i])), (rho[:, :1], q[0], lambda i: (rho[i[0], 0], q[0, i[1]]))]
+        for stack_rho, stack_q, item in cases:
+            stack = integrated_structure_factor(stack_rho, stack_q, r1, r2)
+            assert stack.shape == (4, 5)
+            singles = [integrated_structure_factor(*item(i), r1, r2) for i in np.ndindex(4, 5)]
+            assert stack.tobytes() == np.array(singles).tobytes()
+
     def test_singlet_at_opposite_phase(self):
         # on-site part 3/2 plus cross part 2 cos(pi) <S1.S2> = 3/2
         value = integrated_structure_factor(
@@ -169,42 +221,6 @@ class TestIntegratedStructureFactor:
             integrated_structure_factor(
                 np.eye(4, dtype=complex), np.zeros(3), np.ones(3), np.zeros(3)
             )
-
-
-class TestCorrelationFromStructure:
-    def test_antiparallel_point(self):
-        c, re_c = correlation_from_structure(np.pi)
-        assert abs(c - (-1.0 + 0.0j)) < 1e-12
-        assert re_c == -1.0
-
-    def test_zero_crossing_at_half_pi(self):
-        _, re_c = correlation_from_structure(np.pi / 2.0)
-        assert abs(re_c) < 1e-15
-
-    def test_value_at_third_pi(self):
-        _, re_c = correlation_from_structure(np.pi / 3.0)
-        assert re_c == pytest.approx(0.125, abs=1e-15)
-
-    @given(phases)
-    def test_complex_value_is_phase_times_structure_factor(self, x):
-        c, re_c = correlation_from_structure(x)
-        assert abs(c - np.exp(-1j * x) * scalar_structure_factor(x)) == 0.0
-        assert re_c == c.real
-
-    def test_sign_change_roots_at_half_and_three_half_pi(self):
-        roots = scan_roots(lambda x: correlation_from_structure(x)[1])
-        assert len(roots) == 2
-        assert abs(roots[0] - np.pi / 2.0) < 1e-10
-        assert abs(roots[1] - 3.0 * np.pi / 2.0) < 1e-10
-
-    def test_extremes(self):
-        grid = np.linspace(0.0, TWO_PI, 100001)
-        re_c = correlation_from_structure(grid)[1]
-        assert np.min(re_c) == pytest.approx(-1.0, abs=1e-9)
-        assert abs(grid[np.argmin(re_c)] - np.pi) < 1e-4
-        assert np.max(re_c) <= 0.125 + 1e-12
-        assert correlation_from_structure(np.pi / 3.0)[1] == pytest.approx(0.125, abs=1e-15)
-        assert correlation_from_structure(5.0 * np.pi / 3.0)[1] == pytest.approx(0.125, abs=1e-12)
 
 
 class TestScatteringPhase:

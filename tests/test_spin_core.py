@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from spindimer.oracle import trace_norm_discord
 from spindimer.spin_core import (
     DimerModel,
     SINGLET,
@@ -109,7 +110,8 @@ class TestEigensystem:
 
     def test_state_lookup_by_label(self):
         eig = eigensystem(build_hamiltonian(DimerModel(coupling=1.0)))
-        assert abs(abs(np.vdot(TRIPLET_ZERO, eig.state(1, 0))) - 1.0) < 1e-12
+        state = eig.states[:, eig.labels.index((1, 0))]
+        assert abs(abs(np.vdot(TRIPLET_ZERO, state)) - 1.0) < 1e-12
 
 
 class TestThermalState:
@@ -155,33 +157,42 @@ class TestThermalState:
         with pytest.raises(ValueError, match="nonnegative"):
             thermal_state(DimerModel(), -0.1)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            thermal_state(DimerModel(), np.nan)
+
+    def test_infinite_temperature_is_maximally_mixed(self):
+        rho = thermal_state(DimerModel(coupling=1.0), np.inf)
+        assert np.max(np.abs(rho - np.eye(4) / 4.0)) < 1e-15
+
 
 class TestFanoDecomposition:
     def test_singlet(self):
         fano = fano_decompose(projector(SINGLET))
         assert np.max(np.abs(fano.a)) < 1e-12
         assert np.max(np.abs(fano.b)) < 1e-12
-        assert np.allclose(fano.c, [-1.0, -1.0, -1.0], atol=1e-12)
-        assert fano.diagonal
+        assert np.allclose(fano.tensor, -np.eye(3), atol=1e-12)
 
     def test_maximally_mixed(self):
         fano = fano_decompose(np.eye(4, dtype=complex) / 4.0)
         assert np.max(np.abs(fano.a)) < 1e-12
         assert np.max(np.abs(fano.b)) < 1e-12
-        assert np.max(np.abs(fano.c)) < 1e-12
+        assert np.max(np.abs(fano.tensor)) < 1e-12
 
     def test_thermal_state_correlations_match_gibbs_sum(self):
         fano = fano_decompose(thermal_state(DimerModel(coupling=1.0), 1.0))
-        assert np.allclose(fano.c, GIBBS_CZ_J1_T1, atol=1e-14)
-        assert fano.diagonal
+        assert np.allclose(fano.tensor, GIBBS_CZ_J1_T1 * np.eye(3), atol=1e-14)
 
     def test_flags_non_diagonal_correlation_tensor(self):
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         up = np.array([1.0, 0.0], dtype=complex)
         rho = projector(np.kron(plus, up))
-        fano = fano_decompose(rho)
-        assert not fano.diagonal
-        assert abs(fano.tensor[0, 2] - 1.0) < 1e-12
+        assert abs(fano_decompose(rho).tensor[0, 2] - 1.0) < 1e-12
+        # (I + sigma_x (x) sigma_z / 2) / 4: no Bloch vectors, one off-diagonal correlation.
+        cross = (np.eye(4) + 0.5 * np.kron(np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0]))) / 4.0
+        for state in (rho, cross):
+            with pytest.raises(ValueError, match="is not Bell-diagonal"):
+                trace_norm_discord(state, "closed_form_bell_diagonal")
 
     def test_rejects_invalid_density_matrix(self):
         with pytest.raises(ValueError, match="trace"):
@@ -225,12 +236,11 @@ class TestStacks:
         states = self.states()
         stacked = fano_decompose(states)
         singles = [fano_decompose(rho) for rho in states.reshape(-1, 4, 4)]
-        for field in ("a", "b", "c", "tensor", "diagonal"):
+        for field in ("a", "b", "tensor"):
             expected = np.array([getattr(f, field) for f in singles])
             got = getattr(stacked, field)
             assert np.array_equal(got.reshape(expected.shape), expected), field
             assert got.shape[:2] == (3, 4)
-        assert type(singles[0].diagonal) is bool and singles[0].diagonal
         rebuilt = np.array([fano_reconstruct(f) for f in singles]).reshape(states.shape)
         assert np.array_equal(fano_reconstruct(stacked), rebuilt)
 
