@@ -38,7 +38,10 @@ QUANTIFIER_NAMES = tuple(QUANTIFIER_FUNCTIONS)
 
 SCALAR_HEADER = ["x_rad", "S"]
 VECTOR_HEADER = ["qx", "qy", "qz", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "S"]
-# Rows formatted and written per write() call by the CSV writers.
+# Rows per chunk of the CSV writers: the unit one worker formats and one
+# write() call writes. Chunks are formatted in one forked process per
+# available CPU and written in order, so about one chunk per worker is in
+# flight; on one CPU, or without fork, they are formatted in-process.
 ROWS_PER_CHUNK = 2048
 
 
@@ -86,14 +89,70 @@ def _replaced_on_success(path: Path):
         raise
 
 
+def _format_rows(chunk: np.ndarray) -> str:
+    """A 2-D float block as %.17g CSV rows."""
+    row_format = ",".join(["%.17g"] * chunk.shape[1]) + "\n"
+    return (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _format_worker(chunks: list[np.ndarray], conn) -> None:
+    """Send each chunk formatted over `conn`, or the exception that stopped it."""
+    try:
+        for chunk in chunks:
+            conn.send(_format_rows(chunk))
+    except Exception as exc:
+        conn.send(exc)
+
+
 def _write_rows(fh, table: np.ndarray) -> None:
-    """Write a 2-D float table as %.17g CSV rows, ROWS_PER_CHUNK rows per write."""
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    chunk_format = row_format * ROWS_PER_CHUNK
-    for start in range(0, len(table), ROWS_PER_CHUNK):
-        chunk = table[start:start + ROWS_PER_CHUNK]
-        text_format = chunk_format if len(chunk) == ROWS_PER_CHUNK else row_format * len(chunk)
-        fh.write(text_format % tuple(chunk.ravel().tolist()))
+    """Write a 2-D float table as %.17g CSV rows, ROWS_PER_CHUNK rows per write.
+
+    With w > 1 usable CPUs and more than one chunk, min(w, chunks) forked
+    workers format the chunks, worker k taking chunks k, k + w, ...; they
+    read `table` from the memory fork shares, and the parent writes chunk i
+    as it arrives from worker i % w. A worker's exception is raised here.
+    """
+    chunks = [table[start:start + ROWS_PER_CHUNK] for start in range(0, len(table), ROWS_PER_CHUNK)]
+    workers = min(len(os.sched_getaffinity(0)), len(chunks)) if hasattr(os, "sched_getaffinity") else 1
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        for chunk in chunks:
+            fh.write(_format_rows(chunk))
+        return
+
+    # A forked child flushes the std streams it inherited when it exits; the
+    # fork context flushes them here before each fork, so text buffered
+    # before the write is not written again. A child never flushes `fh`:
+    # it leaves through os._exit.
+    context = multiprocessing.get_context("fork")
+    processes, receivers = [], []
+    try:
+        for k in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            processes.append(context.Process(target=_format_worker, args=(chunks[k::workers], sender)))
+            processes[-1].start()
+            # Only the worker holds the sending end, so its death reads as EOF.
+            sender.close()
+        for i in range(len(chunks)):
+            try:
+                text = receivers[i % workers].recv()
+            except EOFError:
+                raise RuntimeError(f"CSV formatting worker {i % workers} exited before sending chunk {i}") from None
+            if isinstance(text, BaseException):
+                raise text
+            fh.write(text)
+    finally:
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+        for receiver in receivers:
+            receiver.close()
 
 
 def run_sweep(config: SweepConfig) -> None:
@@ -126,8 +185,6 @@ def _cmd_sweep(args) -> int:
 def build_point_report(x: float, coupling: float, g: float, temperature: float | None) -> dict:
     report = verify.closed_form_vs_oracle(x)
     if temperature is not None:
-        if temperature <= 0.0:
-            raise ValueError("--temperature must be positive for thermal quantities")
         model = DimerModel(coupling=coupling, g=g)
         chi = susceptibility(temperature, report["ReC"], model)
         thermal_correlation = correlation_oracle(thermal_state(model, temperature))

@@ -25,17 +25,29 @@ def _finite(x, name: str = "x"):
     return arr
 
 
+def _geometry(q, r1, r2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`q` of shape (..., 3) and the 3-vectors `r1`, `r2`, checked finite, as float arrays."""
+    q = _finite(q, "q")
+    if q.shape[-1:] != (3,):
+        raise ValueError(f"q must be a 3-vector or a stack of them, got shape {q.shape}")
+    r1 = _finite(r1, "r1")
+    r2 = _finite(r2, "r2")
+    for name, r in (("r1", r1), ("r2", r2)):
+        if r.shape != (3,):
+            raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
+    return q, r1, r2
+
+
 def scattering_phase(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> float:
     """Scalar phase q . (r1 - r2) from an explicit scattering geometry.
 
     r1 and r2 are the positions of the two magnetic centers, in the inverse
-    of the unit of the wave vector q.
+    of the unit of the wave vector q. All three are finite 3-vectors,
+    checked as the structure factors check them.
     """
-    q = _finite(q, "q")
-    r1 = _finite(r1, "r1")
-    r2 = _finite(r2, "r2")
-    if q.shape != (3,) or r1.shape != (3,) or r2.shape != (3,):
-        raise ValueError("q, r1 and r2 must be 3-vectors")
+    q, r1, r2 = _geometry(q, r1, r2)
+    if q.shape != (3,):
+        raise ValueError(f"q must be a 3-vector, got shape {q.shape}")
     return float(np.dot(q, r1 - r2))
 
 
@@ -67,14 +79,7 @@ def _site_sums(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     `q` has shape (..., 3) and `r1`, `r2` are 3-vectors; the result has
     shape (..., 3, 4, 4), axis -3 running over a = x, y, z.
     """
-    q = _finite(q, "q")
-    if q.shape[-1:] != (3,):
-        raise ValueError(f"q must be a 3-vector or a stack of them, got shape {q.shape}")
-    r1 = _finite(r1, "r1")
-    r2 = _finite(r2, "r2")
-    for name, r in (("r1", r1), ("r2", r2)):
-        if r.shape != (3,):
-            raise ValueError(f"{name} must be a 3-vector, got shape {r.shape}")
+    q, r1, r2 = _geometry(q, r1, r2)
     # (..., 1, 3) @ (3, 1): each q.r goes through the dot kernel of np.dot.
     rows = q[..., None, :]
     phase1 = np.exp(1j * (rows @ r1[:, None]))[..., None, :]

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -23,6 +25,25 @@ DATA = Path(__file__).parent / "data"
 def read_rejects(path):
     with path.open(newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def use_cpus(monkeypatch, count):
+    """Make the CSV writer see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes started during a test, recorded as they start."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def record(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+    return started
 
 
 def read_csv(path):
@@ -207,6 +228,13 @@ class TestReport:
         assert main(["report", "--q", "1,0,0"]) == 1
         assert main(["report", "--q", "1,0", "--r1", "0,0,0", "--r2", "1,0,0"]) == 1
         assert main(["report", "--x", "1", "--temperature", "-1"]) == 1
+
+    @pytest.mark.parametrize("temperature", ["-1", "0", "nan", "inf"])
+    def test_bad_temperature_has_one_message(self, capsys, temperature):
+        assert main(["report", "--x", "1", "--temperature", temperature]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: temperature must be finite and positive\n"
+        assert captured.out == ""
 
     def test_json_keys_and_values_follow_the_quantifier_vocabulary(self):
         x = 2.3
@@ -461,6 +489,129 @@ def assert_matches_golden(got, want, path="report"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
+class TestParallelWriter:
+    """The CSV writer formats chunks in one forked worker per usable CPU.
+
+    Each path is forced through the CPU set `os.sched_getaffinity` reports;
+    one CPU is the in-process path every other output is compared against.
+    """
+
+    def write_ingest_input(self, path):
+        # 4400 rows, 90 of them rejected: 4310 accepted rows make three
+        # chunks, the last one partial.
+        lines = ["x_rad,S"]
+        for i in range(4400):
+            if i % 97 == 5:
+                lines.append(f"{i},bad")
+            elif i % 101 == 7:
+                lines.append(f"{i * 0.01!r},1.5")
+            else:
+                lines.append(f"{i * 0.01!r},{(i % 89) / 88!r}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_sweep_bytes_match_the_in_process_path(self, tmp_path, monkeypatch, forks, cpus):
+        argv = ["sweep", "--samples", "20001", "--out"]
+        use_cpus(monkeypatch, 1)
+        assert main([*argv, str(tmp_path / "in_process.csv")]) == 0
+        assert forks == []
+        use_cpus(monkeypatch, cpus)
+        assert main([*argv, str(tmp_path / "forked.csv")]) == 0
+        assert len(forks) == cpus
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_ingest_bytes_and_rejects_match_the_in_process_path(self, tmp_path, monkeypatch, forks, cpus):
+        src = tmp_path / "in.csv"
+        self.write_ingest_input(src)
+        outputs = {}
+        for count in (1, cpus):
+            use_cpus(monkeypatch, count)
+            out = tmp_path / f"out_{count}.csv"
+            assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+            rejects = out.with_name(out.name + ".rejects.csv")
+            outputs[count] = (out.read_bytes(), rejects.read_bytes())
+        assert len(forks) == cpus
+        assert outputs[cpus] == outputs[1]
+        assert outputs[1][0].count(b"\n") - 1 == 4310
+        assert outputs[1][1].count(b"\n") - 1 == 90
+
+    @pytest.mark.parametrize("fallback", ["one_cpu", "one_chunk", "no_affinity", "no_fork"])
+    def test_falls_back_to_in_process_formatting(self, tmp_path, monkeypatch, forks, fallback):
+        use_cpus(monkeypatch, 1 if fallback == "one_cpu" else 2)
+        if fallback == "no_affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if fallback == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        samples = str(cli.ROWS_PER_CHUNK if fallback == "one_chunk" else 3 * cli.ROWS_PER_CHUNK)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--samples", samples, "--quantifiers", "S", "--out", str(out)]) == 0
+        assert forks == []
+        assert len(out.read_text(encoding="utf-8").splitlines()) == int(samples) + 1
+
+    @pytest.mark.parametrize("error", [OSError, RuntimeError])
+    def test_worker_exception_keeps_old_outputs(self, tmp_path, monkeypatch, forks, error):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        argv = ["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]
+        src.write_text("x_rad,S\n1.0,0.5\n2.0,0.25\n1.0,bad\n", encoding="utf-8")
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self.write_ingest_input(src)
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        format_rows = cli._format_rows
+
+        def fail_in_a_worker(chunk):
+            if os.getpid() != parent:
+                raise error("interrupted")
+            return format_rows(chunk)
+
+        monkeypatch.setattr(cli, "_format_rows", fail_in_a_worker)
+        if error is OSError:
+            assert main(argv) == 2
+        else:
+            with pytest.raises(RuntimeError, match="^interrupted$"):
+                main(argv)
+        assert len(forks) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == {
+            name: data for name, data in before.items() if name != "in.csv"
+        }
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_error_not_a_hang(self, tmp_path, monkeypatch, forks):
+        out = tmp_path / "s.csv"
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        format_rows = cli._format_rows
+
+        def die_in_the_last_worker(chunk):
+            # Worker 1 of 2 formats chunk 1, the first that does not start at x = 0.
+            if os.getpid() != parent and chunk[0, 0] != 0.0:
+                os._exit(3)
+            return format_rows(chunk)
+
+        monkeypatch.setattr(cli, "_format_rows", die_in_the_last_worker)
+        with pytest.raises(RuntimeError, match="^CSV formatting worker 1 exited before sending chunk 1$"):
+            main(["sweep", "--samples", "5000", "--out", str(out)])
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_text_buffered_before_the_fork_is_written_once(self, tmp_path, monkeypatch, forks, capfd):
+        # Block-buffered, as stdout is when it is a file or a pipe.
+        stdout = open(os.dup(1), "w", encoding="utf-8", buffering=8192)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        use_cpus(monkeypatch, 2)
+        print("before the sweep")
+        try:
+            assert main(["sweep", "--samples", "5000", "--out", str(tmp_path / "s.csv")]) == 0
+        finally:
+            stdout.close()
+        assert len(forks) == 2
+        assert capfd.readouterr().out == "before the sweep\n"
+
+
 class TestVerify:
     def test_summary_matches_golden_json(self, verification_report):
         # Every check's observation and every discrepancy number, as `verify --json` writes them.
@@ -528,6 +679,16 @@ class TestArgumentErrors:
     def test_import_does_not_load_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import spindimer.cli, sys; sys.exit('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_does_not_load_multiprocessing(self):
+        # The CSV writer imports multiprocessing only when it forks workers.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import spindimer.cli, sys; sys.exit([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules] or None)"],
             capture_output=True,
             text=True,
         )

@@ -229,5 +229,9 @@ class TestScatteringPhase:
         vectors = {"q": np.ones(3), "r1": np.zeros(3), "r2": np.ones(3)}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             scattering_phase(**{**vectors, name: np.array([0.0, np.inf, 0.0])})
-        with pytest.raises(ValueError, match="3-vectors"):
+        message = "q must be a 3-vector or a stack of them" if name == "q" else f"{name} must be a 3-vector"
+        with pytest.raises(ValueError, match=rf"^{message}, got shape \(2,\)$"):
             scattering_phase(**{**vectors, name: np.ones(2)})
+        # One phase, so a stack of 3-vectors is rejected too, q included.
+        with pytest.raises(ValueError, match=rf"^{name} must be a 3-vector, got shape \(2, 3\)$"):
+            scattering_phase(**{**vectors, name: np.ones((2, 3))})
