@@ -38,7 +38,7 @@ QUANTIFIER_NAMES = tuple(QUANTIFIER_FUNCTIONS)
 
 SCALAR_HEADER = ["x_rad", "S"]
 VECTOR_HEADER = ["qx", "qy", "qz", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "S"]
-# Rows per chunk of the CSV writers: the unit one worker formats and one
+# Rows per chunk of the table writer: the unit one worker formats and one
 # write() call writes. Chunks are formatted in one forked process per
 # available CPU and written in order, so about one chunk per worker is in
 # flight; on one CPU, or without fork, they are formatted in-process.
@@ -89,23 +89,30 @@ def _replaced_on_success(path: Path):
         raise
 
 
-def _format_rows(chunk: np.ndarray) -> str:
-    """A 2-D float block as %.17g CSV rows."""
-    row_format = ",".join(["%.17g"] * chunk.shape[1]) + "\n"
-    return (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
+def _csv_row(columns: int) -> str:
+    """The row template of a CSV table of `columns` %.17g values."""
+    return ",".join(["%.17g"] * columns) + "\n"
 
 
-def _format_worker(chunks: list[np.ndarray], conn) -> None:
+def _format_rows(chunk: np.ndarray, row: str, separator: str) -> str:
+    """A 2-D float block as text: `row` % each row's values, joined by `separator`."""
+    return separator.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _format_worker(chunks: list[np.ndarray], row: str, separator: str, conn) -> None:
     """Send each chunk formatted over `conn`, or the exception that stopped it."""
     try:
         for chunk in chunks:
-            conn.send(_format_rows(chunk))
+            conn.send(_format_rows(chunk, row, separator))
     except Exception as exc:
         conn.send(exc)
 
 
-def _write_rows(fh, table: np.ndarray) -> None:
-    """Write a 2-D float table as %.17g CSV rows, ROWS_PER_CHUNK rows per write.
+def _write_rows(fh, table: np.ndarray, row: str, separator: str) -> None:
+    """Write a 2-D float table as rows, ROWS_PER_CHUNK rows per write.
+
+    Each row is the template `row` filled with that row's values; rows are
+    joined by `separator`, which is also written between chunks.
 
     With w > 1 usable CPUs and more than one chunk, min(w, chunks) forked
     workers format the chunks, worker k taking chunks k, k + w, ...; they
@@ -120,8 +127,10 @@ def _write_rows(fh, table: np.ndarray) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        for chunk in chunks:
-            fh.write(_format_rows(chunk))
+        for i, chunk in enumerate(chunks):
+            if i:
+                fh.write(separator)
+            fh.write(_format_rows(chunk, row, separator))
         return
 
     # A forked child flushes the std streams it inherited when it exits; the
@@ -134,7 +143,7 @@ def _write_rows(fh, table: np.ndarray) -> None:
         for k in range(workers):
             receiver, sender = context.Pipe(duplex=False)
             receivers.append(receiver)
-            processes.append(context.Process(target=_format_worker, args=(chunks[k::workers], sender)))
+            processes.append(context.Process(target=_format_worker, args=(chunks[k::workers], row, separator, sender)))
             processes[-1].start()
             # Only the worker holds the sending end, so its death reads as EOF.
             sender.close()
@@ -145,6 +154,8 @@ def _write_rows(fh, table: np.ndarray) -> None:
                 raise RuntimeError(f"CSV formatting worker {i % workers} exited before sending chunk {i}") from None
             if isinstance(text, BaseException):
                 raise text
+            if i:
+                fh.write(separator)
             fh.write(text)
     finally:
         for process in processes:
@@ -159,13 +170,19 @@ def run_sweep(config: SweepConfig) -> None:
     xs = np.linspace(config.x_from, config.x_to, config.samples)
     table = np.column_stack([xs] + [QUANTIFIER_FUNCTIONS[name](xs) for name in config.quantifiers])
     names = ["x", *config.quantifiers]
+    if config.fmt == "csv":
+        head, row, separator, tail = ",".join(names) + "\n", _csv_row(len(names)), "", ""
+    else:
+        # The bytes of json.dumps(rows, indent=2) + "\n" for one dict per row:
+        # %r is float.__repr__, which is what json's encoder prints, and every
+        # value is finite (each column went through scalar_structure_factor's
+        # check), so no NaN or Infinity can occur.
+        head, separator, tail = "[\n", ",\n", "\n]\n"
+        row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %r" for name in names) + "\n  }"
     with _replaced_on_success(config.out) as fh:
-        if config.fmt == "csv":
-            fh.write(",".join(names) + "\n")
-            _write_rows(fh, table)
-        else:
-            rows = [dict(zip(names, row)) for row in table.tolist()]
-            fh.write(json.dumps(rows, indent=2) + "\n")
+        fh.write(head)
+        _write_rows(fh, table, row, separator)
+        fh.write(tail)
 
 
 def _cmd_sweep(args) -> int:
@@ -324,7 +341,7 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
     with _replaced_on_success(out_path) as fh:
         fh.write(",".join(out_header) + "\n")
-        _write_rows(fh, output)
+        _write_rows(fh, output, _csv_row(output.shape[1]), "")
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:

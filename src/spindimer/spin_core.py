@@ -85,9 +85,9 @@ def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 class DimerModel:
     """Physical configuration of the dimer.
 
-    coupling is the exchange constant J; positive J puts the singlet at the
-    bottom of the spectrum. g is the Lande factor; the Bohr magneton is 1 in
-    natural units. The ion count and spin are fixed by the model and not
+    coupling is the exchange constant J, any finite value; positive J puts
+    the singlet at the bottom of the spectrum. g is the Lande factor, finite
+    and nonzero; the Bohr magneton is 1 in natural units. The ion count and spin are fixed by the model and not
     configurable. The site positions are not part of the model: they enter
     only through the scattering phase (`scattering.scattering_phase`).
     """
@@ -97,6 +97,12 @@ class DimerModel:
 
     n_ions: ClassVar[int] = 2
     spin: ClassVar[float] = 0.5
+
+    def __post_init__(self):
+        if not np.isfinite(self.coupling):
+            raise ValueError("coupling must be finite")
+        if not (np.isfinite(self.g) and self.g != 0.0):
+            raise ValueError("g must be finite and nonzero")
 
 
 def build_hamiltonian(model: DimerModel) -> np.ndarray:

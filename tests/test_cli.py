@@ -28,7 +28,7 @@ def read_rejects(path):
 
 
 def use_cpus(monkeypatch, count):
-    """Make the CSV writer see `count` usable CPUs."""
+    """Make the table writer see `count` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
@@ -101,13 +101,23 @@ class TestSweep:
         header, _ = read_csv(out)
         assert header == ["x", "bell", "S", "witness"]
 
-    def test_json_format(self, tmp_path):
+    @pytest.mark.parametrize("samples", [2, 2048, 2049, 20001])
+    @pytest.mark.parametrize("quantifiers", [list(QUANTIFIER_FUNCTIONS), ["bell", "S", "witness"]])
+    def test_json_format(self, tmp_path, monkeypatch, forks, samples, quantifiers):
+        # The in-memory path the chunked writer replaced: one dict per row.
+        xs = np.linspace(-1.5, 7.25, samples)
+        table = np.column_stack([xs] + [QUANTIFIER_FUNCTIONS[name](xs) for name in quantifiers])
+        names = ["x", *quantifiers]
+        expected = (json.dumps([dict(zip(names, row)) for row in table.tolist()], indent=2) + "\n").encode("utf-8")
+        chunks = -(-samples // cli.ROWS_PER_CHUNK)
         out = tmp_path / "s.json"
-        assert main(["sweep", "--from", "0", "--to", str(TWO_PI), "--samples", "3",
-                     "--quantifiers", "S,bell", "--format", "json", "--out", str(out)]) == 0
-        rows = json.loads(out.read_text(encoding="utf-8"))
-        assert [set(r) for r in rows] == [{"x", "S", "bell"}] * 3
-        assert rows[1]["S"] == pytest.approx(1.0, abs=1e-12)
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert main(["sweep", "--from", "-1.5", "--to", "7.25", "--samples", str(samples),
+                         "--quantifiers", ",".join(quantifiers), "--format", "json", "--out", str(out)]) == 0
+            assert len(forks) == (min(cpus, chunks) if cpus > 1 and chunks > 1 else 0)
+            assert out.read_bytes() == expected, cpus
 
     def test_degrees_flag(self, tmp_path):
         out_deg, out_rad = tmp_path / "d.csv", tmp_path / "r.csv"
@@ -145,7 +155,7 @@ class TestSweep:
     def test_interrupted_write_keeps_the_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "s.csv"
 
-        def write_then_fail(fh, table):
+        def write_then_fail(fh, table, row, separator):
             fh.write("partial")
             raise OSError("device full")
 
@@ -234,6 +244,18 @@ class TestReport:
         assert main(["report", "--x", "1", "--temperature", temperature]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: temperature must be finite and positive\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--g", "nan"], "g must be finite and nonzero"),
+        (["--g", "inf"], "g must be finite and nonzero"),
+        (["--g", "0"], "g must be finite and nonzero"),
+        (["--coupling", "inf"], "coupling must be finite"),
+    ])
+    def test_bad_model_is_a_validation_failure(self, capsys, argv, message):
+        assert main(["report", "--x", "1", *argv, "--temperature", "1", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_json_keys_and_values_follow_the_quantifier_vocabulary(self):
@@ -396,8 +418,8 @@ class TestIngest:
         self.write(src, "x_rad,S\n" + "0.5,0.5\n" * 50)
         write_rows = cli._write_rows
 
-        def write_some_rows_then_fail(fh, table):
-            write_rows(fh, table[:10])
+        def write_some_rows_then_fail(fh, table, row, separator):
+            write_rows(fh, table[:10], row, separator)
             raise error("interrupted")
 
         monkeypatch.setattr(cli, "_write_rows", write_some_rows_then_fail)
@@ -490,7 +512,7 @@ def assert_matches_golden(got, want, path="report"):
 
 
 class TestParallelWriter:
-    """The CSV writer formats chunks in one forked worker per usable CPU.
+    """The table writer formats chunks in one forked worker per usable CPU.
 
     Each path is forced through the CPU set `os.sched_getaffinity` reports;
     one CPU is the in-process path every other output is compared against.
@@ -509,16 +531,17 @@ class TestParallelWriter:
                 lines.append(f"{i * 0.01!r},{(i % 89) / 88!r}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_sweep_bytes_match_the_in_process_path(self, tmp_path, monkeypatch, forks, cpus):
-        argv = ["sweep", "--samples", "20001", "--out"]
+    def test_sweep_bytes_match_the_in_process_path(self, tmp_path, monkeypatch, forks, cpus, fmt):
+        argv = ["sweep", "--samples", "20001", "--format", fmt, "--out"]
         use_cpus(monkeypatch, 1)
-        assert main([*argv, str(tmp_path / "in_process.csv")]) == 0
+        assert main([*argv, str(tmp_path / "in_process")]) == 0
         assert forks == []
         use_cpus(monkeypatch, cpus)
-        assert main([*argv, str(tmp_path / "forked.csv")]) == 0
+        assert main([*argv, str(tmp_path / "forked")]) == 0
         assert len(forks) == cpus
-        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+        assert (tmp_path / "forked").read_bytes() == (tmp_path / "in_process").read_bytes()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -563,10 +586,10 @@ class TestParallelWriter:
         parent = os.getpid()
         format_rows = cli._format_rows
 
-        def fail_in_a_worker(chunk):
+        def fail_in_a_worker(chunk, row, separator):
             if os.getpid() != parent:
                 raise error("interrupted")
-            return format_rows(chunk)
+            return format_rows(chunk, row, separator)
 
         monkeypatch.setattr(cli, "_format_rows", fail_in_a_worker)
         if error is OSError:
@@ -586,11 +609,11 @@ class TestParallelWriter:
         parent = os.getpid()
         format_rows = cli._format_rows
 
-        def die_in_the_last_worker(chunk):
+        def die_in_the_last_worker(chunk, row, separator):
             # Worker 1 of 2 formats chunk 1, the first that does not start at x = 0.
             if os.getpid() != parent and chunk[0, 0] != 0.0:
                 os._exit(3)
-            return format_rows(chunk)
+            return format_rows(chunk, row, separator)
 
         monkeypatch.setattr(cli, "_format_rows", die_in_the_last_worker)
         with pytest.raises(RuntimeError, match="^CSV formatting worker 1 exited before sending chunk 1$"):
@@ -676,19 +699,12 @@ class TestArgumentErrors:
         assert main(["frobnicate"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_import_does_not_load_scipy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import spindimer.cli, sys; sys.exit('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
-    def test_import_does_not_load_multiprocessing(self):
-        # The CSV writer imports multiprocessing only when it forks workers.
+    def test_import_loads_neither_scipy_nor_multiprocessing(self):
+        # The table writer imports multiprocessing only when it forks workers.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import spindimer.cli, sys; sys.exit([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules] or None)"],
+             "import spindimer.cli, sys; "
+             "sys.exit([m for m in ('scipy', 'multiprocessing', 'concurrent.futures') if m in sys.modules] or None)"],
             capture_output=True,
             text=True,
         )

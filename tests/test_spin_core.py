@@ -301,3 +301,17 @@ class TestDimerModel:
     def test_fixed_ion_count_and_spin(self):
         assert DimerModel.n_ions == 2
         assert DimerModel.spin == 0.5
+
+    @pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_coupling(self, coupling):
+        with pytest.raises(ValueError, match="^coupling must be finite$"):
+            DimerModel(coupling=coupling)
+
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, 0.0, -0.0])
+    def test_rejects_a_non_finite_or_zero_g(self, g):
+        with pytest.raises(ValueError, match="^g must be finite and nonzero$"):
+            DimerModel(g=g)
+
+    def test_zero_coupling_and_negative_g_are_valid(self):
+        model = DimerModel(coupling=0.0, g=-2.0)
+        assert (model.coupling, model.g) == (0.0, -2.0)
