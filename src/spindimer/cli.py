@@ -38,10 +38,12 @@ QUANTIFIER_NAMES = tuple(QUANTIFIER_FUNCTIONS)
 
 SCALAR_HEADER = ["x_rad", "S"]
 VECTOR_HEADER = ["qx", "qy", "qz", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "S"]
-# Rows per chunk of the table writer: the unit one worker formats and one
-# write() call writes. Chunks are formatted in one forked process per
-# available CPU and written in order, so about one chunk per worker is in
-# flight; on one CPU, or without fork, they are formatted in-process.
+# The unit of work of `_ordered_map`, which runs jobs in one forked process
+# per available CPU and takes their results in order, so about one job per
+# worker is in flight; on one CPU, for one job, or without fork, the jobs
+# run in-process. A sweep job formats ROWS_PER_CHUNK table rows; an ingest
+# job parses, checks, evaluates and formats a slice of ROWS_PER_CHUNK input
+# lines. Each result is written with one write() call.
 ROWS_PER_CHUNK = 2048
 
 
@@ -55,6 +57,10 @@ class SweepConfig:
     fmt: str
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_from) and np.isfinite(self.x_to)):
+            raise ValueError("--from and --to must be finite")
+        if not np.isfinite(self.x_to - self.x_from):
+            raise ValueError("--to minus --from must be finite")
         if not self.x_from < self.x_to:
             raise ValueError("--from must be strictly less than --to")
         if self.samples < 2:
@@ -99,64 +105,59 @@ def _format_rows(chunk: np.ndarray, row: str, separator: str) -> str:
     return separator.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-def _format_worker(chunks: list[np.ndarray], row: str, separator: str, conn) -> None:
-    """Send each chunk formatted over `conn`, or the exception that stopped it."""
+def _map_worker(job, indices: range, conn) -> None:
+    """Send job(i) for each i over `conn`, or the exception that stopped it."""
     try:
-        for chunk in chunks:
-            conn.send(_format_rows(chunk, row, separator))
+        for i in indices:
+            conn.send(job(i))
     except Exception as exc:
         conn.send(exc)
 
 
-def _write_rows(fh, table: np.ndarray, row: str, separator: str) -> None:
-    """Write a 2-D float table as rows, ROWS_PER_CHUNK rows per write.
+def _ordered_map(job, count: int, consume) -> None:
+    """Call consume(i, job(i)) for i = 0, 1, ..., count - 1, in that order.
 
-    Each row is the template `row` filled with that row's values; rows are
-    joined by `separator`, which is also written between chunks.
-
-    With w > 1 usable CPUs and more than one chunk, min(w, chunks) forked
-    workers format the chunks, worker k taking chunks k, k + w, ...; they
-    read `table` from the memory fork shares, and the parent writes chunk i
-    as it arrives from worker i % w. A worker's exception is raised here.
+    With w > 1 usable CPUs and more than one job, min(w, count) forked
+    workers run the jobs, worker k taking jobs k, k + w, ...: a job reads
+    its input from the memory fork shares, so nothing is pickled on the way
+    in, and its result comes back over a pipe. A job's exception is raised
+    here in its place in the order, after consume has taken every earlier
+    result; an exception from consume stops the workers. On one CPU, for
+    one job, or where the platform has no fork, the jobs run in-process.
     """
-    chunks = [table[start:start + ROWS_PER_CHUNK] for start in range(0, len(table), ROWS_PER_CHUNK)]
-    workers = min(len(os.sched_getaffinity(0)), len(chunks)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(os.sched_getaffinity(0)), count) if hasattr(os, "sched_getaffinity") else 1
     if workers > 1:
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        for i, chunk in enumerate(chunks):
-            if i:
-                fh.write(separator)
-            fh.write(_format_rows(chunk, row, separator))
+        for i in range(count):
+            consume(i, job(i))
         return
 
     # A forked child flushes the std streams it inherited when it exits; the
     # fork context flushes them here before each fork, so text buffered
-    # before the write is not written again. A child never flushes `fh`:
-    # it leaves through os._exit.
+    # before the map is not written again. A child never flushes an output
+    # file the parent has open: it leaves through os._exit.
     context = multiprocessing.get_context("fork")
     processes, receivers = [], []
     try:
         for k in range(workers):
             receiver, sender = context.Pipe(duplex=False)
             receivers.append(receiver)
-            processes.append(context.Process(target=_format_worker, args=(chunks[k::workers], row, separator, sender)))
+            processes.append(context.Process(target=_map_worker, args=(job, range(k, count, workers), sender)))
             processes[-1].start()
             # Only the worker holds the sending end, so its death reads as EOF.
             sender.close()
-        for i in range(len(chunks)):
+        for i in range(count):
             try:
-                text = receivers[i % workers].recv()
+                result = receivers[i % workers].recv()
             except EOFError:
-                raise RuntimeError(f"CSV formatting worker {i % workers} exited before sending chunk {i}") from None
-            if isinstance(text, BaseException):
-                raise text
-            if i:
-                fh.write(separator)
-            fh.write(text)
+                raise RuntimeError(f"worker {i % workers} exited before sending chunk {i}") from None
+            if isinstance(result, BaseException):
+                raise result
+            consume(i, result)
     finally:
         for process in processes:
             process.terminate()
@@ -164,6 +165,24 @@ def _write_rows(fh, table: np.ndarray, row: str, separator: str) -> None:
             process.join()
         for receiver in receivers:
             receiver.close()
+
+
+def _write_rows(fh, table: np.ndarray, row: str, separator: str) -> None:
+    """Write a 2-D float table as rows, ROWS_PER_CHUNK rows per write.
+
+    Each row is the template `row` filled with that row's values; rows are
+    joined by `separator`, which is also written between chunks. The chunks
+    are formatted by `_ordered_map`, so on more than one CPU in forked
+    workers, and written in order.
+    """
+    chunks = [table[start:start + ROWS_PER_CHUNK] for start in range(0, len(table), ROWS_PER_CHUNK)]
+
+    def write(i: int, text: str) -> None:
+        if i:
+            fh.write(separator)
+        fh.write(text)
+
+    _ordered_map(lambda i: _format_rows(chunks[i], row, separator), len(chunks), write)
 
 
 def run_sweep(config: SweepConfig) -> None:
@@ -275,55 +294,68 @@ def _csv_line(cells: list[str]) -> str:
     return buffer.getvalue()
 
 
-def _records(reader):
-    """(file line the record starts on, cells) for each record of a csv.reader.
+def _records(reader, first: int = 1):
+    """(file line the record starts on, cells) for each record of a csv.reader
+    whose first line is file line `first`.
 
     A quoted cell may span lines, so the line comes from `reader.line_num`,
     not from counting records. A record csv cannot parse is a ValueError.
     """
-    start = 1
+    start = first
     try:
         for row in reader:
             yield start, row
-            start = reader.line_num + 1
+            start = first + reader.line_num
     except csv.Error as exc:
         raise ValueError(f"unreadable CSV record on line {start}: {exc}") from None
 
 
-def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
-    """Process a measured-data file; returns (accepted, rejected) counts.
+def _text_from(data: bytes, start: int):
+    """`data` from byte `start` as text, with lines split as csv reads them."""
+    stream = io.BytesIO(data)  # shares the bytes; nothing is copied
+    stream.seek(start)
+    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
-    Accepted rows are echoed with the derived quantifiers appended; rejected
-    rows go to `<out>.rejects.csv` with the file line their record starts on,
-    the reason and the row's cells as one CSV-encoded field. A run without
-    rejects removes any rejects file an earlier run left. A record the CSV
-    parser cannot read (an over-long cell, say) fails the whole run before
-    anything is written.
+
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _count_line_ends(data: bytes, start: int, end: int) -> int:
+    """Line ends (\\n, \\r\\n or a bare \\r) in data[start:end]."""
+    return data.count(b"\n", start, end) + data.count(b"\r", start, end) - data.count(b"\r\n", start, end)
+
+
+def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> tuple[str, list, int, int]:
+    """Ingest the records that start on file lines first..last, which begin at byte `start`.
+
+    Returns the output rows as CSV text, the rejects as (line, reason,
+    cells) in line order, the number of accepted rows, and the file line the
+    last record ended on. A quoted record that runs past line `last` is read
+    to its end, so that line is then greater than `last`.
     """
-    header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
+    width = len(SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER)
     rejected: list[tuple[int, str, list[str]]] = []
     parsed_lines: list[int] = []
     parsed_cells: list[list[str]] = []
     values: list[float] = []
-    with input_path.open(newline="", encoding="utf-8") as fh:
-        records = _records(csv.reader(fh))
-        _, first = next(records, (1, None))
-        if first is None or [c.strip() for c in first] != header:
-            raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
-        for line_no, row in records:
-            if len(row) != len(header):
-                rejected.append((line_no, f"expected {len(header)} fields, got {len(row)}", row))
-                continue
+    reader = csv.reader(_text_from(data, start))
+    end = first - 1
+    for line_no, row in _records(reader, first):
+        end = first - 1 + reader.line_num
+        if len(row) != width:
+            rejected.append((line_no, f"expected {width} fields, got {len(row)}", row))
+        else:
             try:
-                row_values = [float(cell) for cell in row]
+                values += [float(cell) for cell in row]
             except ValueError:
                 rejected.append((line_no, "non-numeric field", row))
-                continue
-            values += row_values
-            parsed_lines.append(line_no)
-            parsed_cells.append(row)
+            else:
+                parsed_lines.append(line_no)
+                parsed_cells.append(row)
+        if end >= last:
+            break
 
-    table = np.array(values, dtype=float).reshape(-1, len(header))
+    table = np.array(values, dtype=float).reshape(-1, width)
     s = table[:, -1]
     x = table[:, 0] if mode == "scalar" else scattering_phases(table[:, 0:3], table[:, 3:6], table[:, 6:9])
     phase_ok = np.isfinite(x)
@@ -337,11 +369,100 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     derived = quantifier_table(x[ok], s[ok])
     echoed = [table[ok]] + ([x[ok]] if mode == "vector" else [])
     output = np.column_stack(echoed + list(derived.values()))
-    out_header = list(header) + (["x_rad"] if mode == "vector" else []) + list(derived)
+    return _format_rows(output, _csv_row(output.shape[1]), ""), rejected, len(output), end
+
+
+def _slices(data: bytes, start: int, first: int) -> list[tuple[int, int, int]]:
+    """(start byte, first line, last line) of each slice of data[start:], whose
+    first line is file line `first`: a slice ends just after every
+    ROWS_PER_CHUNK-th b"\\n", and the last one at the end of the data.
+    """
+    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8)[start:] == ord("\n"))
+    bounds = [start, *(newlines[ROWS_PER_CHUNK - 1::ROWS_PER_CHUNK] + start + 1).tolist()]
+    if bounds[-1] < len(data):
+        bounds.append(len(data))
+    slices = []
+    for a, b in zip(bounds, bounds[1:]):
+        # Only the last slice can end inside a line, which is then one more line.
+        lines = _count_line_ends(data, a, b) + (data[b - 1] not in b"\r\n")
+        slices.append((a, first, first + lines - 1))
+        first += lines
+    return slices
+
+
+class _RecordCrossesSlices(Exception):
+    """A record ran past the end of its slice, so the next slice began inside it."""
+
+
+def _write_ingest(fh, data: bytes, slices: list[tuple[int, int, int]], mode: str) -> tuple[int, list]:
+    """Ingest each (start byte, first line, last line) slice and write its rows
+    to `fh` in order; returns (accepted count, rejects in line order).
+
+    Slice i + 1 is taken only once slice i is known to have ended on its last
+    line, so its rows, or its error, are those of a reading from the top.
+    """
+    accepted, rejected = 0, []
+
+    def write(i: int, result: tuple[str, list, int, int]) -> None:
+        nonlocal accepted
+        text, rejects, count, end = result
+        fh.write(text)
+        accepted += count
+        rejected.extend(rejects)
+        if end != slices[i][2]:
+            raise _RecordCrossesSlices
+
+    _ordered_map(lambda i: _ingest_slice(data, *slices[i], mode), len(slices), write)
+    return accepted, rejected
+
+
+def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
+    """Process a measured-data file; returns (accepted, rejected) counts.
+
+    Accepted rows are echoed with the derived quantifiers appended; rejected
+    rows go to `<out>.rejects.csv` with the file line their record starts on,
+    the reason and the row's cells as one CSV-encoded field. A run without
+    rejects removes any rejects file an earlier run left. Input that is not
+    UTF-8, or a record the CSV parser cannot read (an over-long cell, say),
+    fails the whole run and leaves the outputs as they were.
+
+    The parent reads the input, checks it is UTF-8, checks the header and
+    cuts the rest into slices of ROWS_PER_CHUNK lines (`_slices`). Each
+    slice is parsed, checked, evaluated and formatted as one `_ordered_map`
+    job, so on more than one CPU in forked workers, and written in order. A
+    quoted record with a line break that crosses a slice end makes the next
+    slice start inside it; the file is then read again in-process as one
+    slice, so the output does not depend on where the cuts fell.
+    """
+    header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
+    data = input_path.read_bytes()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = 1 + _count_line_ends(data, 0, exc.start)
+            raise ValueError(f"line {line} is not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
+    reader = csv.reader(_text_from(data, 0))
+    _, first = next(_records(reader), (1, None))
+    if first is None or [c.strip() for c in first] != header:
+        raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
+    start = 0  # the byte after the header record's last line
+    for _ in range(reader.line_num):
+        match = _LINE_END.search(data, start)
+        start = match.end() if match else len(data)
+    slices = _slices(data, start, reader.line_num + 1)
+
+    out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
     with _replaced_on_success(out_path) as fh:
-        fh.write(",".join(out_header) + "\n")
-        _write_rows(fh, output, _csv_row(output.shape[1]), "")
+        fh.write(out_header)
+        try:
+            accepted, rejected = _write_ingest(fh, data, slices, mode)
+        except _RecordCrossesSlices:
+            fh.seek(0)
+            fh.truncate()
+            fh.write(out_header)
+            accepted, rejected = _write_ingest(fh, data, [(start, slices[0][1], slices[-1][2])], mode)
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:
@@ -350,7 +471,7 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
                 writer.writerows((line_no, reason, _csv_line(cells)) for line_no, reason, cells in rejected)
         else:
             rejects_path.unlink(missing_ok=True)
-    return len(output), len(rejected)
+    return accepted, len(rejected)
 
 
 def _cmd_ingest(args) -> int:

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,11 @@ DATA = Path(__file__).parent / "data"
 def read_rejects(path):
     with path.open(newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def parse_rejects(data):
+    """(line, reason) of each reject in the bytes of a rejects file."""
+    return [row[:2] for row in csv.reader(io.StringIO(data.decode("utf-8"), newline=""))][1:]
 
 
 def use_cpus(monkeypatch, count):
@@ -133,6 +140,19 @@ class TestSweep:
         code = main(["sweep", "--from", "2", "--to", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds, message", [
+        (["--from", "-inf", "--to", "0"], "--from and --to must be finite"),
+        (["--to", "inf"], "--from and --to must be finite"),
+        (["--from", "-1.7e308", "--to", "1.7e308"], "--to minus --from must be finite"),
+    ])
+    def test_non_finite_or_overflowing_range_is_one_error(self, tmp_path, capsys, bounds, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", *bounds, "--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_quantifier_and_sample_count(self, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -416,13 +436,14 @@ class TestIngest:
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         self.write(src, "x_rad,S\n" + "0.5,0.5\n" * 50)
-        write_rows = cli._write_rows
+        monkeypatch.setattr(cli, "ROWS_PER_CHUNK", 10)
+        write_ingest = cli._write_ingest
 
-        def write_some_rows_then_fail(fh, table, row, separator):
-            write_rows(fh, table[:10], row, separator)
+        def write_some_rows_then_fail(fh, data, slices, mode):
+            assert write_ingest(fh, data, slices[:1], mode) == (10, [])
             raise error("interrupted")
 
-        monkeypatch.setattr(cli, "_write_rows", write_some_rows_then_fail)
+        monkeypatch.setattr(cli, "_write_ingest", write_some_rows_then_fail)
         if error is OSError:
             assert main(argv) == 2
         else:
@@ -458,6 +479,26 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 1
         assert "line 3" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("text, message", [
+        (b"x_rad,S\n1.0,0.5\r\n2.0,\xff0.5\n3.0,0.5\n", "line 3 is not valid UTF-8: byte 0xff (invalid start byte)"),
+        (b"x_rad,\xc3S\n1.0,0.5\n", "line 1 is not valid UTF-8: byte 0xc3 (invalid continuation byte)"),
+        (b"x_rad,S\r1.0,0.5\r2.0,0.5\r\xe2\x82", "line 4 is not valid UTF-8: byte 0xe2 (unexpected end of data)"),
+    ])
+    def test_input_that_is_not_utf8_names_its_line(self, tmp_path, monkeypatch, capsys, cpus, text, message):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        self.write(src, "x_rad,S\n1.0,0.5\n1.0,bad\n")
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src}
+        src.write_bytes(text)
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "ROWS_PER_CHUNK", 1)
+        capsys.readouterr()
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
 
     def test_vector_phase_equals_scattering_phase_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -616,7 +657,7 @@ class TestParallelWriter:
             return format_rows(chunk, row, separator)
 
         monkeypatch.setattr(cli, "_format_rows", die_in_the_last_worker)
-        with pytest.raises(RuntimeError, match="^CSV formatting worker 1 exited before sending chunk 1$"):
+        with pytest.raises(RuntimeError, match="^worker 1 exited before sending chunk 1$"):
             main(["sweep", "--samples", "5000", "--out", str(out)])
         assert list(tmp_path.iterdir()) == []
         assert multiprocessing.active_children() == []
@@ -633,6 +674,121 @@ class TestParallelWriter:
             stdout.close()
         assert len(forks) == 2
         assert capfd.readouterr().out == "before the sweep\n"
+
+
+class TestIngestSlices:
+    """Ingest cuts its input into slices of about ROWS_PER_CHUNK lines and runs
+    each as one job. With slices a line or a few long, every input here
+    crosses many slice ends; its outputs must equal those of the whole file
+    read as one slice in-process.
+    """
+
+    def ingest(self, monkeypatch, src, cpus, rows_per_chunk, mode="scalar"):
+        """(exit code, output bytes, rejects bytes or None) of one ingest run."""
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "ROWS_PER_CHUNK", rows_per_chunk)
+        out = src.with_name(f"out_{cpus}_{rows_per_chunk}.csv")
+        code = main(["ingest", "--input", str(src), "--mode", mode, "--out", str(out)])
+        rejects = out.with_name(out.name + ".rejects.csv")
+        return code, out.read_bytes() if out.exists() else None, rejects.read_bytes() if rejects.exists() else None
+
+    def assert_matches_one_slice(self, monkeypatch, src, cpus, rows_per_chunk, mode="scalar"):
+        want = self.ingest(monkeypatch, src, 1, 10**9, mode)
+        assert self.ingest(monkeypatch, src, cpus, rows_per_chunk, mode) == want
+        return want
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_a_record_across_a_slice_end_makes_one_slice_of_the_file(self, tmp_path, monkeypatch, forks,
+                                                                       cpus, rows_per_chunk, ending):
+        lines = ["x_rad,S"]
+        for i in range(40):
+            if i % 9 == 3:
+                lines.append(f'"{i * 0.1!r}{ending}",0.5')  # two lines, accepted
+            elif i % 9 == 6:
+                lines.append(f'"{i},{ending}{ending}0.5"')  # three lines, one field
+            elif i % 13 == 4:
+                lines.append(f"{i},bad")
+            else:
+                lines.append(f"{i * 0.1!r},{(i % 5) / 4!r}")
+        src = tmp_path / "in.csv"
+        src.write_bytes((ending.join(lines) + ending).encode())
+        calls = []
+        write_ingest = cli._write_ingest
+
+        def record_slices(fh, data, slices, mode):
+            calls.append(len(slices))
+            return write_ingest(fh, data, slices, mode)
+
+        monkeypatch.setattr(cli, "_write_ingest", record_slices)
+        code, _, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
+        assert code == 0
+        # The sliced run found a record across a slice end and read the file again as one slice.
+        assert calls[0] == 1 and calls[1] > 1 and calls[2:] == [1]
+        assert len(forks) == (cpus if cpus > 1 else 0)
+        assert parse_rejects(rejects) == [
+            ["7", "non-numeric field"], ["9", "expected 2 fields, got 1"], ["21", "expected 2 fields, got 1"],
+            ["25", "non-numeric field"], ["33", "expected 2 fields, got 1"], ["45", "expected 2 fields, got 1"],
+        ]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("ending", ["\r\n", "\r", "mixed"])
+    @pytest.mark.parametrize("ends_a_line", [True, False], ids=["last_line_ended", "last_line_open"])
+    def test_line_endings(self, tmp_path, monkeypatch, cpus, ending, ends_a_line):
+        endings = ["\n", "\r\n", "\r"] if ending == "mixed" else [ending]
+        text = "x_rad,S" + endings[0]
+        for i in range(50):
+            row = f"{i},bad" if i % 7 == 2 else f"{i * 0.1!r},{(i % 5) / 4!r}"
+            text += row + (endings[(i + 1) % len(endings)] if ends_a_line or i < 49 else "")
+        src = tmp_path / "in.csv"
+        src.write_bytes(text.encode())
+        code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, 4)
+        assert code == 0 and out.count(b"\n") == 1 + 50 - 7
+        assert [line for line, _ in parse_rejects(rejects)] == [str(i + 2) for i in range(50) if i % 7 == 2]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("mode", ["scalar", "vector"])
+    def test_golden_bytes_from_small_slices(self, tmp_path, monkeypatch, forks, cpus, mode):
+        src = tmp_path / "in.csv"
+        src.write_bytes((DATA / f"ingest_{mode}.csv").read_bytes())
+        code, out, _ = self.assert_matches_one_slice(monkeypatch, src, cpus, 3, mode)
+        assert code == 0 and out == (DATA / f"ingest_{mode}.golden.csv").read_bytes()
+        assert len(forks) == cpus
+
+    @pytest.mark.parametrize("cpus, rows_per_chunk", [(2, 1), (3, 1), (3, 2)])
+    def test_rejects_carry_the_line_a_multi_line_record_starts_on(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
+        src = tmp_path / "in.csv"
+        src.write_text('x_rad,S\n"1.0\n",0.5\nabc,0.5\n"2.0,\n0.5"\n3.0,7\n', encoding="utf-8", newline="\n")
+        code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
+        assert code == 0
+        assert parse_rejects(rejects) == [
+            ["4", "non-numeric field"], ["5", "expected 2 fields, got 1"], ["7", "S = 7 out of range [0, 1]"],
+        ]
+        assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [["1", "0.5"]]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_over_long_cell_is_a_validation_failure_naming_its_line(self, tmp_path, monkeypatch, capsys, forks, cpus):
+        # Two unreadable records in different slices; the first in file order is named.
+        src = tmp_path / "in.csv"
+        src.write_text("x_rad,S\n" + "1.0,0.5\n" * 10 + "2" * 200_000 + ",0.5\n" + "3.0,0.5\n" * 10
+                       + "4" * 200_000 + ",0.5\n", encoding="utf-8")
+        assert self.ingest(monkeypatch, src, cpus, 2) == (1, None, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable CSV record on line 12: ") and err.count("\n") == 1
+        assert len(forks) == cpus
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("text", ["x_rad,S\n", "x_rad,S", "x_rad,S\r\n", "x_rad,S\r"])
+    def test_header_only_input(self, tmp_path, monkeypatch, capsys, forks, cpus, text):
+        src = tmp_path / "in.csv"
+        src.write_bytes(text.encode())
+        header = ",".join(["x_rad", "S", *cli.QUANTIFIER_NAMES[1:]]) + "\n"
+        assert self.ingest(monkeypatch, src, cpus, 1) == (0, header.encode(), None)
+        assert capsys.readouterr().out == "accepted 0 rows, rejected 0 rows\n"
+        assert forks == []
 
 
 class TestVerify:
