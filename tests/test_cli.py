@@ -35,7 +35,7 @@ def parse_rejects(data):
 
 
 def use_cpus(monkeypatch, count):
-    """Make the table writer see `count` usable CPUs."""
+    """Make the ordered fork map see `count` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
