@@ -41,9 +41,9 @@ VECTOR_HEADER = ["qx", "qy", "qz", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "S"
 # The unit of work of `_ordered_map`, which runs jobs in one forked process
 # per available CPU and takes their results in order, so about one job per
 # worker is in flight; on one CPU, for one job, or without fork, the jobs
-# run in-process. A sweep job formats ROWS_PER_CHUNK table rows; an ingest
-# job parses, checks, evaluates and formats a slice of ROWS_PER_CHUNK input
-# lines. Each result is written with one write() call.
+# run in-process. A sweep job evaluates and formats ROWS_PER_CHUNK phases;
+# an ingest job parses, checks, evaluates and formats a slice of
+# ROWS_PER_CHUNK input lines. Each result is written with one write() call.
 ROWS_PER_CHUNK = 2048
 
 
@@ -167,27 +167,8 @@ def _ordered_map(job, count: int, consume) -> None:
             receiver.close()
 
 
-def _write_rows(fh, table: np.ndarray, row: str, separator: str) -> None:
-    """Write a 2-D float table as rows, ROWS_PER_CHUNK rows per write.
-
-    Each row is the template `row` filled with that row's values; rows are
-    joined by `separator`, which is also written between chunks. The chunks
-    are formatted by `_ordered_map`, so on more than one CPU in forked
-    workers, and written in order.
-    """
-    chunks = [table[start:start + ROWS_PER_CHUNK] for start in range(0, len(table), ROWS_PER_CHUNK)]
-
-    def write(i: int, text: str) -> None:
-        if i:
-            fh.write(separator)
-        fh.write(text)
-
-    _ordered_map(lambda i: _format_rows(chunks[i], row, separator), len(chunks), write)
-
-
 def run_sweep(config: SweepConfig) -> None:
     xs = np.linspace(config.x_from, config.x_to, config.samples)
-    table = np.column_stack([xs] + [QUANTIFIER_FUNCTIONS[name](xs) for name in config.quantifiers])
     names = ["x", *config.quantifiers]
     if config.fmt == "csv":
         head, row, separator, tail = ",".join(names) + "\n", _csv_row(len(names)), "", ""
@@ -198,9 +179,20 @@ def run_sweep(config: SweepConfig) -> None:
         # check), so no NaN or Infinity can occur.
         head, separator, tail = "[\n", ",\n", "\n]\n"
         row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %r" for name in names) + "\n  }"
+
+    def job(i: int) -> str:
+        chunk = xs[i * ROWS_PER_CHUNK:(i + 1) * ROWS_PER_CHUNK]
+        columns = [QUANTIFIER_FUNCTIONS[name](chunk) for name in config.quantifiers]
+        return _format_rows(np.column_stack([chunk, *columns]), row, separator)
+
+    def write(i: int, text: str) -> None:
+        if i:
+            fh.write(separator)
+        fh.write(text)
+
     with _replaced_on_success(config.out) as fh:
         fh.write(head)
-        _write_rows(fh, table, row, separator)
+        _ordered_map(job, -(-config.samples // ROWS_PER_CHUNK), write)
         fh.write(tail)
 
 

@@ -68,7 +68,10 @@ def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
-    return model.n_ions * model.g**2 * (1.0 + re_c) / (2.0 * temperature)
+    chi = model.n_ions * model.g**2 * (1.0 + re_c) / (2.0 * temperature)
+    if not np.isfinite(chi):
+        raise ValueError(f"susceptibility is not finite for g = {model.g!r} and temperature = {temperature!r}")
+    return chi
 
 
 def witness_from_susceptibility(chi: float, temperature: float, model: DimerModel) -> float:
@@ -79,7 +82,10 @@ def witness_from_susceptibility(chi: float, temperature: float, model: DimerMode
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
-    return 3.0 * temperature * chi / (model.g**2 * model.n_ions * model.spin) - 1.0
+    w = 3.0 * temperature * chi / (model.g**2 * model.n_ions * model.spin) - 1.0
+    if not np.isfinite(w):
+        raise ValueError(f"witness from susceptibility is not finite for chi = {chi!r} and temperature = {temperature!r}")
+    return w
 
 
 def signed_concurrence(x):

@@ -48,16 +48,15 @@ def scattering_phase(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> float:
     q, r1, r2 = _geometry(q, r1, r2)
     if q.shape != (3,):
         raise ValueError(f"q must be a 3-vector, got shape {q.shape}")
-    return float(np.dot(q, r1 - r2))
+    return float(scattering_phases(q[None], r1[None], r2[None])[0])
 
 
 def scattering_phases(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Row-wise phases q . (r1 - r2) over (n, 3) arrays, without validation.
 
-    Each row equals `scattering_phase` of that row bit for bit: the batched
-    matmul reduces every 3-vector pair through the same dot kernel, where an
-    elementwise sum of products or einsum rounds differently on about a third
-    of rows. Non-finite inputs give non-finite phases for the caller to reject.
+    The one phase formula: `scattering_phase` is this on one checked row,
+    and a row's phase does not depend on the other rows. Non-finite inputs
+    give non-finite phases for the caller to reject.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         return np.matmul(q[:, None, :], (r1 - r2)[:, :, None])[:, 0, 0]

@@ -86,8 +86,9 @@ class DimerModel:
     """Physical configuration of the dimer.
 
     coupling is the exchange constant J, any finite value; positive J puts
-    the singlet at the bottom of the spectrum. g is the Lande factor, finite
-    and nonzero; the Bohr magneton is 1 in natural units. The ion count and spin are fixed by the model and not
+    the singlet at the bottom of the spectrum. g is the Lande factor; g and
+    g^2 are finite and nonzero floats, so the susceptibility's g^2 neither
+    overflows nor vanishes. The Bohr magneton is 1 in natural units. The ion count and spin are fixed by the model and not
     configurable. The site positions are not part of the model: they enter
     only through the scattering phase (`scattering.scattering_phase`).
     """
@@ -101,8 +102,8 @@ class DimerModel:
     def __post_init__(self):
         if not np.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
-        if not (np.isfinite(self.g) and self.g != 0.0):
-            raise ValueError("g must be finite and nonzero")
+        if not 0.0 < self.g * self.g < np.inf:  # NaN fails this comparison too
+            raise ValueError("g and g**2 must be finite and nonzero")
 
 
 def build_hamiltonian(model: DimerModel) -> np.ndarray:

@@ -110,19 +110,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("samples", [2, 2048, 2049, 20001])
     @pytest.mark.parametrize("quantifiers", [list(QUANTIFIER_FUNCTIONS), ["bell", "S", "witness"]])
-    def test_json_format(self, tmp_path, monkeypatch, forks, samples, quantifiers):
-        # The in-memory path the chunked writer replaced: one dict per row.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_json_format(self, tmp_path, monkeypatch, forks, fmt, samples, quantifiers):
+        # Each format against one whole-array evaluation of every column,
+        # written as the in-memory path the chunked writer replaced wrote it.
         xs = np.linspace(-1.5, 7.25, samples)
         table = np.column_stack([xs] + [QUANTIFIER_FUNCTIONS[name](xs) for name in quantifiers])
         names = ["x", *quantifiers]
-        expected = (json.dumps([dict(zip(names, row)) for row in table.tolist()], indent=2) + "\n").encode("utf-8")
+        if fmt == "csv":
+            text = ",".join(names) + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+        else:
+            text = json.dumps([dict(zip(names, row)) for row in table.tolist()], indent=2) + "\n"
+        expected = text.encode("utf-8")
         chunks = -(-samples // cli.ROWS_PER_CHUNK)
-        out = tmp_path / "s.json"
+        out = tmp_path / f"s.{fmt}"
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
             forks.clear()
             assert main(["sweep", "--from", "-1.5", "--to", "7.25", "--samples", str(samples),
-                         "--quantifiers", ",".join(quantifiers), "--format", "json", "--out", str(out)]) == 0
+                         "--quantifiers", ",".join(quantifiers), "--format", fmt, "--out", str(out)]) == 0
             assert len(forks) == (min(cpus, chunks) if cpus > 1 and chunks > 1 else 0)
             assert out.read_bytes() == expected, cpus
 
@@ -172,16 +178,26 @@ class TestSweep:
         assert main(["sweep", "--samples", "2001", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "sweep_2001.golden.csv").read_bytes()
 
+    def test_each_job_evaluates_one_chunk_of_phases(self, tmp_path, monkeypatch):
+        # The parent never evaluates the whole table: every kernel call sees one chunk.
+        use_cpus(monkeypatch, 1)
+        lengths = []
+        for name, f in QUANTIFIER_FUNCTIONS.items():
+            monkeypatch.setitem(QUANTIFIER_FUNCTIONS, name, lambda x, f=f: lengths.append(len(x)) or f(x))
+        assert main(["sweep", "--samples", "5000", "--out", str(tmp_path / "s.csv")]) == 0
+        assert max(lengths) <= cli.ROWS_PER_CHUNK
+        assert len(lengths) == 3 * 8
+
     def test_interrupted_write_keeps_the_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "s.csv"
 
-        def write_then_fail(fh, table, row, separator):
-            fh.write("partial")
+        def write_part_then_fail(job, count, consume):
+            consume(0, job(0)[:20])
             raise OSError("device full")
 
         assert main(["sweep", "--samples", "50", "--out", str(out)]) == 0
         before = out.read_bytes()
-        monkeypatch.setattr(cli, "_write_rows", write_then_fail)
+        monkeypatch.setattr(cli, "_ordered_map", write_part_then_fail)
         assert main(["sweep", "--samples", "7", "--out", str(out)]) == 2
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
@@ -267,13 +283,19 @@ class TestReport:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["--g", "nan"], "g must be finite and nonzero"),
-        (["--g", "inf"], "g must be finite and nonzero"),
-        (["--g", "0"], "g must be finite and nonzero"),
+        (["--g", "nan"], "g and g**2 must be finite and nonzero"),
+        (["--g", "inf"], "g and g**2 must be finite and nonzero"),
+        (["--g", "0"], "g and g**2 must be finite and nonzero"),
+        (["--g", "1e200"], "g and g**2 must be finite and nonzero"),
+        (["--g", "1e-200"], "g and g**2 must be finite and nonzero"),
         (["--coupling", "inf"], "coupling must be finite"),
+        # A valid model and temperature whose thermal values leave the float range.
+        (["--temperature", "1e-310"], "susceptibility is not finite for g = 2.0 and temperature = 1e-310"),
+        (["--temperature", "1e308"], "witness from susceptibility is not finite for chi = 0.0 and temperature = 1e+308"),
     ])
     def test_bad_model_is_a_validation_failure(self, capsys, argv, message):
-        assert main(["report", "--x", "1", *argv, "--temperature", "1", "--format", "json"]) == 1
+        # argv comes after the default --temperature, so a --temperature in it wins.
+        assert main(["report", "--x", "1", "--temperature", "1", *argv, "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""

@@ -307,9 +307,10 @@ class TestDimerModel:
         with pytest.raises(ValueError, match="^coupling must be finite$"):
             DimerModel(coupling=coupling)
 
-    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, 0.0, -0.0])
+    # 1e200 and 1e-200 are finite and nonzero, but their squares are not.
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e200, -1e200, 1e-200])
     def test_rejects_a_non_finite_or_zero_g(self, g):
-        with pytest.raises(ValueError, match="^g must be finite and nonzero$"):
+        with pytest.raises(ValueError, match=r"^g and g\*\*2 must be finite and nonzero$"):
             DimerModel(g=g)
 
     def test_zero_coupling_and_negative_g_are_valid(self):
