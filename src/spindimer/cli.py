@@ -312,6 +312,15 @@ def _text_from(data: bytes, start: int):
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
+def _skip_lines(data: bytes, start: int, lines: int) -> int:
+    """The byte after the `lines`-th line end (\\n, \\r\\n or a bare \\r) from
+    byte `start`, or len(data) if the data ends first."""
+    for _ in range(lines):
+        match = _LINE_END.search(data, start)
+        start = match.end() if match else len(data)
+    return start
+
+
 def _count_line_ends(data: bytes, start: int, end: int) -> int:
     """Line ends (\\n, \\r\\n or a bare \\r) in data[start:end]."""
     return data.count(b"\n", start, end) + data.count(b"\r", start, end) - data.count(b"\r\n", start, end)
@@ -383,15 +392,17 @@ def _slices(data: bytes, start: int, first: int) -> list[tuple[int, int, int]]:
 
 
 class _RecordCrossesSlices(Exception):
-    """A record ran past the end of its slice, so the next slice began inside it."""
+    """A record ran past its slice's end; args are the byte and line after it."""
 
 
-def _write_ingest(fh, data: bytes, slices: list[tuple[int, int, int]], mode: str) -> tuple[int, list]:
-    """Ingest each (start byte, first line, last line) slice and write its rows
-    to `fh` in order; returns (accepted count, rejects in line order).
+def _write_ingest(fh, data: bytes, start: int, first: int, mode: str) -> tuple[int, list]:
+    """Ingest data[start:], whose first line is file line `first`, and write
+    its rows to `fh` in order; returns (accepted count, rejects in line order).
 
     Slice i + 1 is taken only once slice i is known to have ended on its last
-    line, so its rows, or its error, are those of a reading from the top.
+    line, so its rows, or its error, are those of a reading from the top. If
+    slice i's last record runs on to line e, the later slices are dropped and
+    `_slices` cuts again from the byte after line e.
     """
     accepted, rejected = 0, []
 
@@ -402,9 +413,16 @@ def _write_ingest(fh, data: bytes, slices: list[tuple[int, int, int]], mode: str
         accepted += count
         rejected.extend(rejects)
         if end != slices[i][2]:
-            raise _RecordCrossesSlices
+            # Slice i + 1 begins on the line after slice i's last line.
+            raise _RecordCrossesSlices(_skip_lines(data, slices[i + 1][0], end - slices[i][2]), end + 1)
 
-    _ordered_map(lambda i: _ingest_slice(data, *slices[i], mode), len(slices), write)
+    while start < len(data):
+        slices = _slices(data, start, first)
+        try:
+            _ordered_map(lambda i: _ingest_slice(data, *slices[i], mode), len(slices), write)
+            break
+        except _RecordCrossesSlices as crossing:
+            start, first = crossing.args
     return accepted, rejected
 
 
@@ -423,8 +441,8 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     slice is parsed, checked, evaluated and formatted as one `_ordered_map`
     job, so on more than one CPU in forked workers, and written in order. A
     quoted record with a line break that crosses a slice end makes the next
-    slice start inside it; the file is then read again in-process as one
-    slice, so the output does not depend on where the cuts fell.
+    slice start inside it; the rest is then cut again from the line after
+    the record, so the output does not depend on where the cuts fell.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     data = input_path.read_bytes()
@@ -438,23 +456,13 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     _, first = next(_records(reader), (1, None))
     if first is None or [c.strip() for c in first] != header:
         raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
-    start = 0  # the byte after the header record's last line
-    for _ in range(reader.line_num):
-        match = _LINE_END.search(data, start)
-        start = match.end() if match else len(data)
-    slices = _slices(data, start, reader.line_num + 1)
+    start = _skip_lines(data, 0, reader.line_num)  # the byte after the header record
 
     out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
     with _replaced_on_success(out_path) as fh:
         fh.write(out_header)
-        try:
-            accepted, rejected = _write_ingest(fh, data, slices, mode)
-        except _RecordCrossesSlices:
-            fh.seek(0)
-            fh.truncate()
-            fh.write(out_header)
-            accepted, rejected = _write_ingest(fh, data, [(start, slices[0][1], slices[-1][2])], mode)
+        accepted, rejected = _write_ingest(fh, data, start, reader.line_num + 1, mode)
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:

@@ -86,11 +86,13 @@ class DimerModel:
     """Physical configuration of the dimer.
 
     coupling is the exchange constant J, any finite value; positive J puts
-    the singlet at the bottom of the spectrum. g is the Lande factor; g and
-    g^2 are finite and nonzero floats, so the susceptibility's g^2 neither
-    overflows nor vanishes. The Bohr magneton is 1 in natural units. The ion count and spin are fixed by the model and not
-    configurable. The site positions are not part of the model: they enter
-    only through the scattering phase (`scattering.scattering_phase`).
+    the singlet at the bottom of the spectrum. g is the Lande factor; g^2 is
+    a finite normal float (np.finfo(float).tiny <= g^2 < inf), so the
+    susceptibility's g^2 neither overflows nor vanishes nor loses digits as
+    a subnormal. The Bohr magneton is 1 in natural units. The ion count and
+    spin are fixed by the model and not configurable. The site positions
+    are not part of the model: they enter only through the scattering phase
+    (`scattering.scattering_phase`).
     """
 
     coupling: float = 1.0
@@ -102,8 +104,9 @@ class DimerModel:
     def __post_init__(self):
         if not np.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
-        if not 0.0 < self.g * self.g < np.inf:  # NaN fails this comparison too
-            raise ValueError("g and g**2 must be finite and nonzero")
+        tiny = float(np.finfo(float).tiny)  # the smallest normal float
+        if not tiny <= self.g * self.g < np.inf:  # NaN fails this comparison too
+            raise ValueError(f"g**2 must be finite and at least the smallest normal float, {tiny!r}")
 
 
 def build_hamiltonian(model: DimerModel) -> np.ndarray:

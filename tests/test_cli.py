@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -282,12 +283,15 @@ class TestReport:
         assert captured.err == "error: temperature must be finite and positive\n"
         assert captured.out == ""
 
+    BAD_G = "g**2 must be finite and at least the smallest normal float, 2.2250738585072014e-308"
+
     @pytest.mark.parametrize("argv, message", [
-        (["--g", "nan"], "g and g**2 must be finite and nonzero"),
-        (["--g", "inf"], "g and g**2 must be finite and nonzero"),
-        (["--g", "0"], "g and g**2 must be finite and nonzero"),
-        (["--g", "1e200"], "g and g**2 must be finite and nonzero"),
-        (["--g", "1e-200"], "g and g**2 must be finite and nonzero"),
+        (["--g", "nan"], BAD_G),
+        (["--g", "inf"], BAD_G),
+        (["--g", "0"], BAD_G),
+        (["--g", "1e200"], BAD_G),
+        (["--g", "1e-200"], BAD_G),
+        (["--g", "1e-160"], BAD_G),  # g**2 = 1e-320 is a subnormal float
         (["--coupling", "inf"], "coupling must be finite"),
         # A valid model and temperature whose thermal values leave the float range.
         (["--temperature", "1e-310"], "susceptibility is not finite for g = 2.0 and temperature = 1e-310"),
@@ -459,13 +463,14 @@ class TestIngest:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         self.write(src, "x_rad,S\n" + "0.5,0.5\n" * 50)
         monkeypatch.setattr(cli, "ROWS_PER_CHUNK", 10)
-        write_ingest = cli._write_ingest
+        ingest_slice = cli._ingest_slice
 
-        def write_some_rows_then_fail(fh, data, slices, mode):
-            assert write_ingest(fh, data, slices[:1], mode) == (10, [])
-            raise error("interrupted")
+        def fail_after_the_first_slice(data, start, first, last, mode):
+            if first > 2:
+                raise error("interrupted")
+            return ingest_slice(data, start, first, last, mode)
 
-        monkeypatch.setattr(cli, "_write_ingest", write_some_rows_then_fail)
+        monkeypatch.setattr(cli, "_ingest_slice", fail_after_the_first_slice)
         if error is OSError:
             assert main(argv) == 2
         else:
@@ -701,8 +706,9 @@ class TestParallelWriter:
 class TestIngestSlices:
     """Ingest cuts its input into slices of about ROWS_PER_CHUNK lines and runs
     each as one job. With slices a line or a few long, every input here
-    crosses many slice ends; its outputs must equal those of the whole file
-    read as one slice in-process.
+    crosses many slice ends, and a multi-line record across one makes ingest
+    cut the rest again from the line after it; the outputs must equal those
+    of the whole file read as one slice in-process.
     """
 
     def ingest(self, monkeypatch, src, cpus, rows_per_chunk, mode="scalar"):
@@ -722,38 +728,68 @@ class TestIngestSlices:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_a_record_across_a_slice_end_makes_one_slice_of_the_file(self, tmp_path, monkeypatch, forks,
-                                                                       cpus, rows_per_chunk, ending):
-        lines = ["x_rad,S"]
+    def test_a_record_across_a_slice_end_resumes_after_it(self, tmp_path, monkeypatch, forks,
+                                                         cpus, rows_per_chunk, ending):
+        lines, record_ends, line = ["x_rad,S"], set(), 2
         for i in range(40):
             if i % 9 == 3:
                 lines.append(f'"{i * 0.1!r}{ending}",0.5')  # two lines, accepted
+                record_ends.add(line + 1)
             elif i % 9 == 6:
                 lines.append(f'"{i},{ending}{ending}0.5"')  # three lines, one field
+                record_ends.add(line + 2)
             elif i % 13 == 4:
                 lines.append(f"{i},bad")
             else:
                 lines.append(f"{i * 0.1!r},{(i % 5) / 4!r}")
+            line += 1 + lines[-1].count(ending)
+        data = (ending.join(lines) + ending).encode()
         src = tmp_path / "in.csv"
-        src.write_bytes((ending.join(lines) + ending).encode())
+        src.write_bytes(data)
+        line_starts = [0] + [m.end() for m in re.finditer(re.escape(ending.encode()), data)]
         calls = []
-        write_ingest = cli._write_ingest
+        slices = cli._slices
 
-        def record_slices(fh, data, slices, mode):
-            calls.append(len(slices))
-            return write_ingest(fh, data, slices, mode)
+        def record_slices(data, start, first):
+            calls.append((start, first))
+            return slices(data, start, first)
 
-        monkeypatch.setattr(cli, "_write_ingest", record_slices)
+        monkeypatch.setattr(cli, "_slices", record_slices)
         code, _, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
         assert code == 0
-        # The sliced run found a record across a slice end and read the file again as one slice.
-        assert calls[0] == 1 and calls[1] > 1 and calls[2:] == [1]
-        assert len(forks) == (cpus if cpus > 1 else 0)
+        # The one-slice run cuts once. The sliced run cuts from line 2, then again
+        # from the line after each multi-line record that crossed a slice end.
+        assert calls[:2] == [(line_starts[1], 2)] * 2 and len(calls) > 2
+        resumed = [first for _, first in calls[2:]]
+        assert resumed == sorted(set(resumed)) and all(first - 1 in record_ends for first in resumed)
+        assert all(start == line_starts[first - 1] for start, first in calls)
+        assert len(forks) >= cpus if cpus > 1 else forks == []
         assert parse_rejects(rejects) == [
             ["7", "non-numeric field"], ["9", "expected 2 fields, got 1"], ["21", "expected 2 fields, got 1"],
             ["25", "non-numeric field"], ["33", "expected 2 fields, got 1"], ["45", "expected 2 fields, got 1"],
         ]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    def test_a_header_record_across_two_lines(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b'"x_rad\n",S\n1.0,0.5\n"2.0\n",0.25\nabc,0.5\n3.0,0.75\n')
+        code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
+        assert code == 0 and parse_rejects(rejects) == [["6", "non-numeric field"]]
+        assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [
+            ["1", "0.5"], ["2", "0.25"], ["3", "0.75"],
+        ]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    def test_an_unclosed_quote_runs_to_the_end_of_the_file(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
+        # The quoted record crosses every later slice end, so the resume starts at the end of the data.
+        src = tmp_path / "in.csv"
+        src.write_bytes(b'x_rad,S\n1.0,0.5\n2.0,0.25\n"3.0,\n0.5\n4.0,0.5\n5.0')
+        code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
+        assert code == 0 and parse_rejects(rejects) == [["4", "expected 2 fields, got 1"]]
+        assert len(out.splitlines()) == 3
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("ending", ["\r\n", "\r", "mixed"])

@@ -307,10 +307,12 @@ class TestDimerModel:
         with pytest.raises(ValueError, match="^coupling must be finite$"):
             DimerModel(coupling=coupling)
 
-    # 1e200 and 1e-200 are finite and nonzero, but their squares are not.
-    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e200, -1e200, 1e-200])
+    # 1e200 and 1e-200 are finite and nonzero, but their squares are not; the
+    # square of 1e-160 is 1e-320, a subnormal float.
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e200, -1e200, 1e-200, 1e-160])
     def test_rejects_a_non_finite_or_zero_g(self, g):
-        with pytest.raises(ValueError, match=r"^g and g\*\*2 must be finite and nonzero$"):
+        with pytest.raises(ValueError, match=r"^g\*\*2 must be finite and at least the smallest normal float, "
+                                             r"2\.2250738585072014e-308$"):
             DimerModel(g=g)
 
     def test_zero_coupling_and_negative_g_are_valid(self):
