@@ -391,38 +391,39 @@ def _slices(data: bytes, start: int, first: int) -> list[tuple[int, int, int]]:
     return slices
 
 
-class _RecordCrossesSlices(Exception):
-    """A record ran past its slice's end; args are the byte and line after it."""
-
-
 def _write_ingest(fh, data: bytes, start: int, first: int, mode: str) -> tuple[int, list]:
     """Ingest data[start:], whose first line is file line `first`, and write
     its rows to `fh` in order; returns (accepted count, rejects in line order).
 
-    Slice i + 1 is taken only once slice i is known to have ended on its last
-    line, so its rows, or its error, are those of a reading from the top. If
-    slice i's last record runs on to line e, the later slices are dropped and
-    `_slices` cuts again from the byte after line e.
+    Each slice is one job. If an earlier slice's last record ran on to line
+    e, a later slice that ends by line e is dropped, and one that begins by
+    line e is read again in-process from line e + 1; only a slice that began
+    on a record keeps its job's rows, or its error.
     """
-    accepted, rejected = 0, []
+    slices = _slices(data, start, first)
+    accepted, rejected, reached = 0, [], first - 1  # reached: the line the last record read ended on
 
-    def write(i: int, result: tuple[str, list, int, int]) -> None:
-        nonlocal accepted
-        text, rejects, count, end = result
+    def job(i: int):
+        try:
+            return _ingest_slice(data, *slices[i], mode)
+        except ValueError as exc:  # kept for write: a slice begun inside a record may fail
+            return (exc,)
+
+    def write(i: int, result) -> None:
+        nonlocal accepted, reached
+        start, first, last = slices[i]
+        if reached >= last:
+            return
+        if reached >= first:
+            result = _ingest_slice(data, _skip_lines(data, start, reached + 1 - first), reached + 1, last, mode)
+        elif len(result) == 1:
+            raise result[0]
+        text, rejects, count, reached = result
         fh.write(text)
         accepted += count
         rejected.extend(rejects)
-        if end != slices[i][2]:
-            # Slice i + 1 begins on the line after slice i's last line.
-            raise _RecordCrossesSlices(_skip_lines(data, slices[i + 1][0], end - slices[i][2]), end + 1)
 
-    while start < len(data):
-        slices = _slices(data, start, first)
-        try:
-            _ordered_map(lambda i: _ingest_slice(data, *slices[i], mode), len(slices), write)
-            break
-        except _RecordCrossesSlices as crossing:
-            start, first = crossing.args
+    _ordered_map(job, len(slices), write)
     return accepted, rejected
 
 
@@ -441,8 +442,8 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     slice is parsed, checked, evaluated and formatted as one `_ordered_map`
     job, so on more than one CPU in forked workers, and written in order. A
     quoted record with a line break that crosses a slice end makes the next
-    slice start inside it; the rest is then cut again from the line after
-    the record, so the output does not depend on where the cuts fell.
+    slice start inside it; the parent reads that slice again from the line
+    after the record, so the output does not depend on where the cuts fell.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     data = input_path.read_bytes()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -462,20 +463,32 @@ class TestIngest:
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         self.write(src, "x_rad,S\n" + "0.5,0.5\n" * 50)
+        use_cpus(monkeypatch, 1)  # the slices run in-process, one after the other
         monkeypatch.setattr(cli, "ROWS_PER_CHUNK", 10)
-        ingest_slice = cli._ingest_slice
+        handles, lines_written = [], []
+        replaced_on_success, ingest_slice = cli._replaced_on_success, cli._ingest_slice
+
+        @contextmanager
+        def record_handle(path):
+            with replaced_on_success(path) as fh:
+                handles.append(fh)
+                yield fh
 
         def fail_after_the_first_slice(data, start, first, last, mode):
             if first > 2:
+                handles[0].flush()
+                lines_written.append(Path(handles[0].name).read_text(encoding="utf-8").count("\n"))
                 raise error("interrupted")
             return ingest_slice(data, start, first, last, mode)
 
+        monkeypatch.setattr(cli, "_replaced_on_success", record_handle)
         monkeypatch.setattr(cli, "_ingest_slice", fail_after_the_first_slice)
         if error is OSError:
             assert main(argv) == 2
         else:
             with pytest.raises(RuntimeError):
                 main(argv)
+        assert lines_written == [1 + 10]  # the header and the first slice's rows
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == {
             name: data for name, data in before.items() if name != "in.csv"
         }
@@ -707,8 +720,8 @@ class TestIngestSlices:
     """Ingest cuts its input into slices of about ROWS_PER_CHUNK lines and runs
     each as one job. With slices a line or a few long, every input here
     crosses many slice ends, and a multi-line record across one makes ingest
-    cut the rest again from the line after it; the outputs must equal those
-    of the whole file read as one slice in-process.
+    read the next slice again in-process from the line after it; the outputs
+    must equal those of the whole file read as one slice in-process.
     """
 
     def ingest(self, monkeypatch, src, cpus, rows_per_chunk, mode="scalar"):
@@ -747,23 +760,34 @@ class TestIngestSlices:
         src = tmp_path / "in.csv"
         src.write_bytes(data)
         line_starts = [0] + [m.end() for m in re.finditer(re.escape(ending.encode()), data)]
-        calls = []
-        slices = cli._slices
+        want = self.ingest(monkeypatch, src, 1, 10**9)
+        cuts, reads = [], []
+        slices, ingest_slice = cli._slices, cli._ingest_slice
 
         def record_slices(data, start, first):
-            calls.append((start, first))
+            cuts.append((start, first))
             return slices(data, start, first)
 
+        def record_reads(data, start, first, last, mode):
+            reads.append((start, first))  # only reads in this process: forked jobs record in their copy
+            return ingest_slice(data, start, first, last, mode)
+
         monkeypatch.setattr(cli, "_slices", record_slices)
-        code, _, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
-        assert code == 0
-        # The one-slice run cuts once. The sliced run cuts from line 2, then again
-        # from the line after each multi-line record that crossed a slice end.
-        assert calls[:2] == [(line_starts[1], 2)] * 2 and len(calls) > 2
-        resumed = [first for _, first in calls[2:]]
-        assert resumed == sorted(set(resumed)) and all(first - 1 in record_ends for first in resumed)
-        assert all(start == line_starts[first - 1] for start, first in calls)
-        assert len(forks) >= cpus if cpus > 1 else forks == []
+        monkeypatch.setattr(cli, "_ingest_slice", record_reads)
+        code, out, rejects = self.ingest(monkeypatch, src, cpus, rows_per_chunk)
+        assert (code, out, rejects) == want and code == 0
+        # One cut and one fork map. A slice that began inside a multi-line
+        # record is read again in-process from the line after it, unless the
+        # record covered the whole slice, as every crossing one does with
+        # one-line slices.
+        assert cuts == [(line_starts[1], 2)]
+        heads = [(start, first) for start, first, _ in slices(data, line_starts[1], 2)]
+        resumed = [read for read in reads if read not in heads]
+        # On one CPU every job reads here too; on more, only the re-reads do.
+        assert [read for read in reads if read in heads] == (heads if cpus == 1 else [])
+        assert bool(resumed) == (rows_per_chunk > 1) and resumed == sorted(set(resumed))
+        assert all(first - 1 in record_ends and start == line_starts[first - 1] for start, first in resumed)
+        assert len(forks) == cpus if cpus > 1 else forks == []
         assert parse_rejects(rejects) == [
             ["7", "non-numeric field"], ["9", "expected 2 fields, got 1"], ["21", "expected 2 fields, got 1"],
             ["25", "non-numeric field"], ["33", "expected 2 fields, got 1"], ["45", "expected 2 fields, got 1"],
@@ -790,6 +814,23 @@ class TestIngestSlices:
         code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
         assert code == 0 and parse_rejects(rejects) == [["4", "expected 2 fields, got 1"]]
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    def test_a_slice_that_began_inside_a_record_does_not_fail_the_run(self, tmp_path, monkeypatch, cpus,
+                                                                      rows_per_chunk):
+        # With two-line slices the second begins on line 4, inside the quoted
+        # record on lines 3-4. Read from there, its quote opens a cell that
+        # runs over lines 5 and 6, 140000 characters, past csv's cell limit;
+        # read from the top, they are two rows whose x is 70001 characters.
+        src = tmp_path / "in.csv"
+        long_row = b"1." + b"0" * 69999 + b",0.5\n"
+        src.write_bytes(b'x_rad,S\n0.5,0.5\n"1.0\n",0.5\n' + long_row * 2 + b"2.0,0.25\n")
+        code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
+        assert (code, rejects) == (0, None)
+        assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [
+            ["0.5", "0.5"], ["1", "0.5"], ["1", "0.5"], ["1", "0.5"], ["2", "0.25"],
+        ]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("ending", ["\r\n", "\r", "mixed"])
