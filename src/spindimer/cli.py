@@ -309,21 +309,18 @@ def _text_from(data: bytes, start: int):
     return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
-_LINE_END = re.compile(rb"\r\n?|\n")
-
-
-def _skip_lines(data: bytes, start: int, lines: int) -> int:
-    """The byte after the `lines`-th line end (\\n, \\r\\n or a bare \\r) from
-    byte `start`, or len(data) if the data ends first."""
-    for _ in range(lines):
-        match = _LINE_END.search(data, start)
-        start = match.end() if match else len(data)
-    return start
-
-
-def _count_line_ends(data: bytes, start: int, end: int) -> int:
-    """Line ends (\\n, \\r\\n or a bare \\r) in data[start:end]."""
-    return data.count(b"\n", start, end) + data.count(b"\r", start, end) - data.count(b"\r\n", start, end)
+def _line_starts(data: bytes) -> np.ndarray:
+    """The byte at which each line of `data` starts, file line k at index
+    k - 1, with lines split as csv reads them: \\n, \\r\\n and a bare \\r each
+    end a line, and a last line may be unterminated."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(raw == ord("\r"))
+    bare_cr = cr[raw[np.minimum(cr + 1, len(raw) - 1)] != ord("\n")]  # a \r\n ends at its \n
+    # A line starts just after a line end; the first, after one at byte -1.
+    starts = np.concatenate(([-1], np.flatnonzero(raw == ord("\n")), bare_cr))
+    starts.sort()
+    starts += 1
+    return starts[:np.searchsorted(starts, len(data))]  # no line starts at the end of the data
 
 
 def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> tuple[str, list, int, int]:
@@ -373,52 +370,46 @@ def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> 
     return _format_rows(output, _csv_row(output.shape[1]), ""), rejected, len(output), end
 
 
-def _slices(data: bytes, start: int, first: int) -> list[tuple[int, int, int]]:
-    """(start byte, first line, last line) of each slice of data[start:], whose
-    first line is file line `first`: a slice ends just after every
-    ROWS_PER_CHUNK-th b"\\n", and the last one at the end of the data.
+def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) -> tuple[int, list]:
+    """Ingest file lines first..len(starts) of `data`, line k starting at
+    byte starts[k - 1], and write their rows to `fh` in order; returns
+    (accepted count, rejects in line order).
+
+    Each slice of ROWS_PER_CHUNK lines is one job. If a record ran on to
+    line e, a slice that ends by line e is dropped, and of the next slice
+    only what is read from line e + 1 on is kept.
     """
-    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8)[start:] == ord("\n"))
-    bounds = [start, *(newlines[ROWS_PER_CHUNK - 1::ROWS_PER_CHUNK] + start + 1).tolist()]
-    if bounds[-1] < len(data):
-        bounds.append(len(data))
-    slices = []
-    for a, b in zip(bounds, bounds[1:]):
-        # Only the last slice can end inside a line, which is then one more line.
-        lines = _count_line_ends(data, a, b) + (data[b - 1] not in b"\r\n")
-        slices.append((a, first, first + lines - 1))
-        first += lines
-    return slices
-
-
-def _write_ingest(fh, data: bytes, start: int, first: int, mode: str) -> tuple[int, list]:
-    """Ingest data[start:], whose first line is file line `first`, and write
-    its rows to `fh` in order; returns (accepted count, rejects in line order).
-
-    Each slice is one job. If an earlier slice's last record ran on to line
-    e, a later slice that ends by line e is dropped, and one that begins by
-    line e is read again in-process from line e + 1; only a slice that began
-    on a record keeps its job's rows, or its error.
-    """
-    slices = _slices(data, start, first)
+    slices = [(a, min(a + ROWS_PER_CHUNK - 1, len(starts))) for a in range(first, len(starts) + 1, ROWS_PER_CHUNK)]
     accepted, rejected, reached = 0, [], first - 1  # reached: the line the last record read ended on
 
+    # A job begins on its slice's first line or, if later, on the line after
+    # `reached` as it stands in the job's own process, and returns the line
+    # it began on. In-process, write has taken every earlier slice, so
+    # `reached` is current and each line is read once. A forked
+    # worker holds `reached` as it was at the fork, first - 1, so its job
+    # reads from the slice's first line, and write reads the slice again
+    # from line reached + 1 if the job began at or before it.
     def job(i: int):
+        head, last = slices[i]
+        begin = max(head, reached + 1)
+        if begin > last:  # in-process, after a record that ran past this slice: write drops it
+            return begin, None
         try:
-            return _ingest_slice(data, *slices[i], mode)
+            return begin, _ingest_slice(data, starts[begin - 1], begin, last, mode)
         except ValueError as exc:  # kept for write: a slice begun inside a record may fail
-            return (exc,)
+            return begin, exc
 
     def write(i: int, result) -> None:
         nonlocal accepted, reached
-        start, first, last = slices[i]
+        last = slices[i][1]
+        begin, outcome = result
         if reached >= last:
             return
-        if reached >= first:
-            result = _ingest_slice(data, _skip_lines(data, start, reached + 1 - first), reached + 1, last, mode)
-        elif len(result) == 1:
-            raise result[0]
-        text, rejects, count, reached = result
+        if begin <= reached:
+            outcome = _ingest_slice(data, starts[reached], reached + 1, last, mode)
+        elif isinstance(outcome, ValueError):
+            raise outcome
+        text, rejects, count, reached = outcome
         fh.write(text)
         accepted += count
         rejected.extend(rejects)
@@ -433,37 +424,40 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     Accepted rows are echoed with the derived quantifiers appended; rejected
     rows go to `<out>.rejects.csv` with the file line their record starts on,
     the reason and the row's cells as one CSV-encoded field. A run without
-    rejects removes any rejects file an earlier run left. Input that is not
-    UTF-8, or a record the CSV parser cannot read (an over-long cell, say),
-    fails the whole run and leaves the outputs as they were.
+    rejects removes any rejects file an earlier run left. A `row` field can
+    exceed csv's default 131072-character field limit even when every cell
+    of the input row fits, so reading the rejects file back may need
+    `csv.field_size_limit` raised. Input that is not UTF-8, or a record the
+    CSV parser cannot read (an over-long cell, say), fails the whole run and
+    leaves the outputs as they were.
 
-    The parent reads the input, checks it is UTF-8, checks the header and
-    cuts the rest into slices of ROWS_PER_CHUNK lines (`_slices`). Each
-    slice is parsed, checked, evaluated and formatted as one `_ordered_map`
-    job, so on more than one CPU in forked workers, and written in order. A
-    quoted record with a line break that crosses a slice end makes the next
-    slice start inside it; the parent reads that slice again from the line
+    The parent reads the input, indexes where its lines start
+    (`_line_starts`), checks it is UTF-8 and checks the header. The lines
+    after it are cut into slices of ROWS_PER_CHUNK lines, each parsed,
+    checked, evaluated and formatted as one `_ordered_map` job, so on more
+    than one CPU in forked workers, and written in order. A slice that
+    starts inside a quoted record with a line break is read from the line
     after the record, so the output does not depend on where the cuts fell.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     data = input_path.read_bytes()
+    starts = _line_starts(data)
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = 1 + _count_line_ends(data, 0, exc.start)
+            line = np.searchsorted(starts, exc.start, "right")
             raise ValueError(f"line {line} is not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
     reader = csv.reader(_text_from(data, 0))
     _, first = next(_records(reader), (1, None))
     if first is None or [c.strip() for c in first] != header:
         raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
-    start = _skip_lines(data, 0, reader.line_num)  # the byte after the header record
 
     out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
     with _replaced_on_success(out_path) as fh:
         fh.write(out_header)
-        accepted, rejected = _write_ingest(fh, data, start, reader.line_num + 1, mode)
+        accepted, rejected = _write_ingest(fh, data, starts, reader.line_num + 1, mode)
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:

@@ -64,13 +64,17 @@ def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     """Average magnetic susceptibility N g^2 (1 + Re C) / (2 T).
 
     Units are (g mu_B)^2 per energy with mu_B = 1; re_c must lie in
-    [-1, 1/3], the physical range of the pairwise correlation.
+    [-1, 1/3], the physical range of the pairwise correlation. A result that
+    is not finite, or subnormal and so short of digits, is a ValueError; the
+    exact 0 at Re C = -1 is not.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
     chi = model.n_ions * model.g**2 * (1.0 + re_c) / (2.0 * temperature)
     if not np.isfinite(chi):
         raise ValueError(f"susceptibility is not finite for g = {model.g!r} and temperature = {temperature!r}")
+    if 0.0 < chi < np.finfo(float).tiny:
+        raise ValueError(f"susceptibility is subnormal for g = {model.g!r} and temperature = {temperature!r}")
     return chi
 
 

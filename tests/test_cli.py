@@ -297,6 +297,7 @@ class TestReport:
         # A valid model and temperature whose thermal values leave the float range.
         (["--temperature", "1e-310"], "susceptibility is not finite for g = 2.0 and temperature = 1e-310"),
         (["--temperature", "1e308"], "witness from susceptibility is not finite for chi = 0.0 and temperature = 1e+308"),
+        (["--g", "1.5e-154", "--temperature", "1000"], "susceptibility is subnormal for g = 1.5e-154 and temperature = 1000.0"),
     ])
     def test_bad_model_is_a_validation_failure(self, capsys, argv, message):
         # argv comes after the default --temperature, so a --temperature in it wins.
@@ -440,6 +441,23 @@ class TestIngest:
         ]
         cells = [next(csv.reader([row])) for _, _, row in rejects[1:]]
         assert cells == [["2,0", "0.3"], ["3.0", 'a"b'], ["", "0.5"], [""]]
+
+    def test_a_rejected_row_may_need_a_raised_field_limit_to_read_back(self, tmp_path):
+        # Each input cell is one character, but the 66001 cells CSV-encoded
+        # into the one `row` field take 132001, past csv's default limit.
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        self.write(src, "x_rad,S\n" + ",".join(["1"] * 66001) + "\n1.0,0.5\n")
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_rejects(tmp_path / "out.csv.rejects.csv")
+        limit = csv.field_size_limit(1 << 20)
+        try:
+            rejects = read_rejects(tmp_path / "out.csv.rejects.csv")
+        finally:
+            csv.field_size_limit(limit)
+        assert [(line, reason) for line, reason, _ in rejects[1:]] == [("2", "expected 2 fields, got 66001")]
+        assert next(csv.reader([rejects[1][2]])) == ["1"] * 66001
 
     def test_run_without_rejects_removes_the_old_rejects_file(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -717,11 +735,11 @@ class TestParallelWriter:
 
 
 class TestIngestSlices:
-    """Ingest cuts its input into slices of about ROWS_PER_CHUNK lines and runs
+    """Ingest cuts its input into slices of ROWS_PER_CHUNK lines and runs
     each as one job. With slices a line or a few long, every input here
     crosses many slice ends, and a multi-line record across one makes ingest
-    read the next slice again in-process from the line after it; the outputs
-    must equal those of the whole file read as one slice in-process.
+    read the next slice from the line after it; the outputs must equal those
+    of the whole file read as one slice in-process.
     """
 
     def ingest(self, monkeypatch, src, cpus, rows_per_chunk, mode="scalar"):
@@ -740,11 +758,12 @@ class TestIngestSlices:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_a_record_across_a_slice_end_resumes_after_it(self, tmp_path, monkeypatch, forks,
                                                          cpus, rows_per_chunk, ending):
-        lines, record_ends, line = ["x_rad,S"], set(), 2
+        lines, record_starts, record_ends, line = ["x_rad,S"], set(), set(), 2
         for i in range(40):
+            record_starts.add(line)
             if i % 9 == 3:
                 lines.append(f'"{i * 0.1!r}{ending}",0.5')  # two lines, accepted
                 record_ends.add(line + 1)
@@ -761,33 +780,32 @@ class TestIngestSlices:
         src.write_bytes(data)
         line_starts = [0] + [m.end() for m in re.finditer(re.escape(ending.encode()), data)]
         want = self.ingest(monkeypatch, src, 1, 10**9)
-        cuts, reads = [], []
-        slices, ingest_slice = cli._slices, cli._ingest_slice
-
-        def record_slices(data, start, first):
-            cuts.append((start, first))
-            return slices(data, start, first)
+        reads = []
+        ingest_slice = cli._ingest_slice
 
         def record_reads(data, start, first, last, mode):
             reads.append((start, first))  # only reads in this process: forked jobs record in their copy
             return ingest_slice(data, start, first, last, mode)
 
-        monkeypatch.setattr(cli, "_slices", record_slices)
         monkeypatch.setattr(cli, "_ingest_slice", record_reads)
         code, out, rejects = self.ingest(monkeypatch, src, cpus, rows_per_chunk)
         assert (code, out, rejects) == want and code == 0
-        # One cut and one fork map. A slice that began inside a multi-line
-        # record is read again in-process from the line after it, unless the
-        # record covered the whole slice, as every crossing one does with
-        # one-line slices.
-        assert cuts == [(line_starts[1], 2)]
-        heads = [(start, first) for start, first, _ in slices(data, line_starts[1], 2)]
+        # A slice that began inside a multi-line record is read from the line
+        # after it, unless the record covered the whole slice, as every
+        # crossing one does with one-line slices. Each read starts at the
+        # byte of its line, in file order, and no line is read from twice.
+        heads = [(line_starts[first - 1], first) for first in range(2, len(line_starts), rows_per_chunk)]
         resumed = [read for read in reads if read not in heads]
-        # On one CPU every job reads here too; on more, only the re-reads do.
-        assert [read for read in reads if read in heads] == (heads if cpus == 1 else [])
-        assert bool(resumed) == (rows_per_chunk > 1) and resumed == sorted(set(resumed))
-        assert all(first - 1 in record_ends and start == line_starts[first - 1] for start, first in resumed)
-        assert len(forks) == cpus if cpus > 1 else forks == []
+        assert reads == sorted(set(reads)) and all(start == line_starts[first - 1] for start, first in reads)
+        assert bool(resumed) == (rows_per_chunk > 1)
+        assert all(first - 1 in record_ends for _, first in resumed)
+        if cpus == 1:
+            # Every job runs here and begins on a record's first line, so no read is dropped.
+            assert {first for _, first in reads} <= record_starts
+        else:
+            # Only the parent's re-reads run here.
+            assert resumed == reads
+        assert len(forks) == (cpus if cpus > 1 else 0)
         assert parse_rejects(rejects) == [
             ["7", "non-numeric field"], ["9", "expected 2 fields, got 1"], ["21", "expected 2 fields, got 1"],
             ["25", "non-numeric field"], ["33", "expected 2 fields, got 1"], ["45", "expected 2 fields, got 1"],
@@ -835,7 +853,7 @@ class TestIngestSlices:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("ending", ["\r\n", "\r", "mixed"])
     @pytest.mark.parametrize("ends_a_line", [True, False], ids=["last_line_ended", "last_line_open"])
-    def test_line_endings(self, tmp_path, monkeypatch, cpus, ending, ends_a_line):
+    def test_line_endings(self, tmp_path, monkeypatch, forks, cpus, ending, ends_a_line):
         endings = ["\n", "\r\n", "\r"] if ending == "mixed" else [ending]
         text = "x_rad,S" + endings[0]
         for i in range(50):
@@ -846,6 +864,14 @@ class TestIngestSlices:
         code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, 4)
         assert code == 0 and out.count(b"\n") == 1 + 50 - 7
         assert [line for line, _ in parse_rejects(rejects)] == [str(i + 2) for i in range(50) if i % 7 == 2]
+        assert len(forks) == (cpus if cpus > 1 else 0)  # cut into 13 slices, whatever ends the lines
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='a,"\r\n', max_size=40))
+    def test_line_starts_are_where_csv_lines_start(self, text):
+        data = text.encode()
+        lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        assert cli._line_starts(data).tolist() == np.cumsum([0, *map(len, lines)])[:-1].tolist()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("mode", ["scalar", "vector"])

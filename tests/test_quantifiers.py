@@ -118,6 +118,12 @@ class TestSusceptibilityPipeline:
         chi = susceptibility(1.0, -2.0 / 3.0, model)
         assert witness_from_susceptibility(chi, 1.0, model) == pytest.approx(0.0, abs=1e-15)
 
+    def test_rejects_a_subnormal_susceptibility(self):
+        model = DimerModel(g=1.5e-154)  # g**2 is normal; chi = 2.25e-311 at Re C = 0, T = 1000 is not
+        with pytest.raises(ValueError, match="^susceptibility is subnormal for g = 1.5e-154 and temperature = 1000.0$"):
+            susceptibility(1000.0, 0.0, model)
+        assert susceptibility(1000.0, -1.0, model) == 0.0
+
     @pytest.mark.parametrize("bad_temp", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_non_positive_temperature(self, bad_temp):
         with pytest.raises(ValueError, match="^temperature must be finite and positive$"):
