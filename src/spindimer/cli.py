@@ -211,9 +211,9 @@ def _cmd_sweep(args) -> int:
 
 
 def build_point_report(x: float, coupling: float, g: float, temperature: float | None) -> dict:
+    model = DimerModel(coupling=coupling, g=g)
     report = verify.closed_form_vs_oracle(x)
     if temperature is not None:
-        model = DimerModel(coupling=coupling, g=g)
         chi = susceptibility(temperature, report["ReC"], model)
         thermal_correlation = correlation_oracle(thermal_state(model, temperature))
         report["thermal"] = {

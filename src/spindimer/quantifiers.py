@@ -9,7 +9,6 @@ live in `oracle`; this module is deliberately formula-only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, make_dataclass
 from functools import partial
 
 import numpy as np
@@ -66,11 +65,12 @@ def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     Units are (g mu_B)^2 per energy with mu_B = 1; re_c must lie in
     [-1, 1/3], the physical range of the pairwise correlation. A result that
     is not finite, or subnormal and so short of digits, is a ValueError; the
-    exact 0 at Re C = -1 is not.
+    exact 0 at Re C = -1 is not. T divides last, so a huge T cannot
+    overflow an intermediate.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
-    chi = model.n_ions * model.g**2 * (1.0 + re_c) / (2.0 * temperature)
+    chi = model.n_ions / 2.0 * model.g**2 * (1.0 + re_c) / temperature
     if not np.isfinite(chi):
         raise ValueError(f"susceptibility is not finite for g = {model.g!r} and temperature = {temperature!r}")
     if 0.0 < chi < np.finfo(float).tiny:
@@ -82,11 +82,15 @@ def witness_from_susceptibility(chi: float, temperature: float, model: DimerMode
     """Witness recovered from a measured susceptibility.
 
     Composing with `susceptibility` reproduces `witness` identically; the
-    g, N, S and T dependence cancels algebraically.
+    g, N, S and T dependence cancels algebraically. T chi is formed first,
+    so the huge T of such a chi cannot overflow an intermediate. A subnormal
+    chi, short of digits, is a ValueError; chi = 0 is not.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
-    w = 3.0 * temperature * chi / (model.g**2 * model.n_ions * model.spin) - 1.0
+    if 0.0 < chi < np.finfo(float).tiny:
+        raise ValueError(f"susceptibility chi = {chi!r} is subnormal")
+    w = 3.0 * (temperature * chi / (model.n_ions * model.spin * model.g**2)) - 1.0
     if not np.isfinite(w):
         raise ValueError(f"witness from susceptibility is not finite for chi = {chi!r} and temperature = {temperature!r}")
     return w
@@ -152,7 +156,8 @@ def geometric_discord(x, variant: str = "figure-consistent"):
 
 
 # Name -> vectorized function of the phase, in canonical column order.
-# This is the quantifier vocabulary of the sweep/report interfaces.
+# This is the one quantifier vocabulary: the sweep columns, the point report
+# (`verify.closed_form_vs_oracle`) and the `quantifier_table` keys.
 QUANTIFIER_FUNCTIONS = {"S": scalar_structure_factor, **{name: partial(_at_phase, name) for name in _CLOSED_FORMS}}
 
 
@@ -169,22 +174,6 @@ def quantifier_table(x, s) -> dict[str, np.ndarray]:
     s = np.asarray(s, dtype=float)
     re_c = np.cos(np.asarray(x, dtype=float)) * s
     return {name: form(re_c, s) for name, form in _CLOSED_FORMS.items()}
-
-
-QuantifierReport = make_dataclass(
-    "QuantifierReport",
-    [(name, float) for name in ("x", *QUANTIFIER_FUNCTIONS)],
-    namespace={
-        "__doc__": "Every `QUANTIFIER_FUNCTIONS` entry evaluated at one scattering phase x.",
-        "__module__": __name__,
-        "as_dict": asdict,
-    },
-    frozen=True,
-)
-
-
-def evaluate_quantifiers(x: float) -> QuantifierReport:
-    return QuantifierReport(float(x), *(float(f(x)) for f in QUANTIFIER_FUNCTIONS.values()))
 
 
 def bisect_root(f, lo: float, hi: float) -> float:

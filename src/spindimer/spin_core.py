@@ -187,7 +187,10 @@ def thermal_state(model: DimerModel, temperature: float) -> np.ndarray:
         gap_atol = 1e-12 * max(1.0, abs(model.coupling))
         weights = (energies - energies[0] <= gap_atol).astype(float)
     else:
-        weights = np.exp(-(energies - energies[0]) / temperature)
+        # At a subnormal T a gap over T may overflow to inf; exp(-inf) = 0 is
+        # then the exact weight of the T -> 0 limit.
+        with np.errstate(over="ignore"):
+            weights = np.exp(-(energies - energies[0]) / temperature)
     weights /= weights.sum()
     return (eig.states * weights) @ eig.states.conj().T
 

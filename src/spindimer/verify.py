@@ -21,7 +21,6 @@ from .quantifiers import (
     concurrence,
     concurrence_window,
     entanglement_of_formation,
-    evaluate_quantifiers,
     geometric_discord,
     real_correlation,
     scan_roots,
@@ -104,7 +103,7 @@ def closed_form_vs_oracle(x: float) -> dict:
     """Closed-form quantifiers at x next to brute-force values on the
     implied state, with their differences and discord ratios: the flat
     point report, keyed x, the quantifiers, oracle, delta, discord_ratio."""
-    report = evaluate_quantifiers(x)
+    report = {"x": float(x), **{name: float(f(x)) for name, f in QUANTIFIER_FUNCTIONS.items()}}
     rho = implied_state(x)
     oracle_values = {
         "concurrence": oracle.wootters_concurrence(rho),
@@ -114,16 +113,16 @@ def closed_form_vs_oracle(x: float) -> dict:
         "correlation": float(oracle.correlation_oracle(rho)[2]),
     }
     deltas = {
-        "concurrence": report.concurrence - oracle_values["concurrence"],
-        "eof": float(entanglement_of_formation(oracle_values["concurrence"])) - report.eof,
-        "bell_vs_chsh_fixed": report.bell - oracle_values["chsh_fixed"],
-        "correlation": report.ReC - oracle_values["correlation"],
+        "concurrence": report["concurrence"] - oracle_values["concurrence"],
+        "eof": float(entanglement_of_formation(oracle_values["concurrence"])) - report["eof"],
+        "bell_vs_chsh_fixed": report["bell"] - oracle_values["chsh_fixed"],
+        "correlation": report["ReC"] - oracle_values["correlation"],
     }
     ratios = {
         f"oracle_to_{variant}": oracle_values["discord_trace_norm"] / value if value > 1e-12 else None
-        for variant, value in (("verbatim", report.discord_verbatim), ("figure", report.discord_figure))
+        for variant, value in (("verbatim", report["discord_verbatim"]), ("figure", report["discord_figure"]))
     }
-    return {**report.as_dict(), "oracle": oracle_values, "delta": deltas, "discord_ratio": ratios}
+    return {**report, "oracle": oracle_values, "delta": deltas, "discord_ratio": ratios}
 
 
 def _check(name, observed, tolerance, metric="max dev") -> CheckResult:

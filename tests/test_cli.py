@@ -285,8 +285,7 @@ class TestReport:
         assert captured.out == ""
 
     BAD_G = "g**2 must be finite and at least the smallest normal float, 2.2250738585072014e-308"
-
-    @pytest.mark.parametrize("argv, message", [
+    BAD_MODEL = [
         (["--g", "nan"], BAD_G),
         (["--g", "inf"], BAD_G),
         (["--g", "0"], BAD_G),
@@ -294,17 +293,32 @@ class TestReport:
         (["--g", "1e-200"], BAD_G),
         (["--g", "1e-160"], BAD_G),  # g**2 = 1e-320 is a subnormal float
         (["--coupling", "inf"], "coupling must be finite"),
+        (["--g", "1e-160", "--coupling", "nan"], "coupling must be finite"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", [
+        # The model is checked whether or not a temperature is given.
+        *BAD_MODEL,
+        *[(["--temperature", "1", *argv], message) for argv, message in BAD_MODEL],
         # A valid model and temperature whose thermal values leave the float range.
         (["--temperature", "1e-310"], "susceptibility is not finite for g = 2.0 and temperature = 1e-310"),
-        (["--temperature", "1e308"], "witness from susceptibility is not finite for chi = 0.0 and temperature = 1e+308"),
         (["--g", "1.5e-154", "--temperature", "1000"], "susceptibility is subnormal for g = 1.5e-154 and temperature = 1000.0"),
     ])
     def test_bad_model_is_a_validation_failure(self, capsys, argv, message):
-        # argv comes after the default --temperature, so a --temperature in it wins.
-        assert main(["report", "--x", "1", "--temperature", "1", *argv, "--format", "json"]) == 1
+        assert main(["report", "--x", "1", *argv, "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--temperature", "1e308"],
+        ["--temperature", "1.79e308"],
+        # A subnormal temperature, with a g small enough to keep chi finite.
+        ["--temperature", "1e-310", "--g", "1.5e-154"],
+    ])
+    def test_extreme_temperature_recovers_the_witness(self, argv):
+        report = self.run_json(["report", "--x", "1", *argv, "--format", "json"])
+        assert abs(report["thermal"]["witness_from_susceptibility"] - report["witness"]) <= 1e-15
 
     def test_json_keys_and_values_follow_the_quantifier_vocabulary(self):
         x = 2.3

@@ -12,7 +12,6 @@ from spindimer.quantifiers import (
     concurrence,
     concurrence_window,
     entanglement_of_formation,
-    evaluate_quantifiers,
     geometric_discord,
     quantifier_table,
     real_correlation,
@@ -124,6 +123,12 @@ class TestSusceptibilityPipeline:
             susceptibility(1000.0, 0.0, model)
         assert susceptibility(1000.0, -1.0, model) == 0.0
 
+    def test_rejects_a_subnormal_measured_susceptibility(self):
+        model = DimerModel(g=1.5e-154)
+        with pytest.raises(ValueError, match="^susceptibility chi = 2.53e-311 is subnormal$"):
+            witness_from_susceptibility(2.53e-311, 1000.0, model)
+        assert witness_from_susceptibility(0.0, 1000.0, model) == -1.0
+
     @pytest.mark.parametrize("bad_temp", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_non_positive_temperature(self, bad_temp):
         with pytest.raises(ValueError, match="^temperature must be finite and positive$"):
@@ -231,21 +236,16 @@ class TestGeometricDiscord:
 class TestSymmetryAndReport:
     @given(phases)
     def test_all_quantifiers_even_about_pi(self, x):
-        left = evaluate_quantifiers(x).as_dict()
-        right = evaluate_quantifiers(TWO_PI - x).as_dict()
         for key in ("S", "ReC", "witness", "concurrence", "eof", "bell", "discord_verbatim", "discord_figure"):
-            assert abs(left[key] - right[key]) < 1e-12
+            f = QUANTIFIER_FUNCTIONS[key]
+            assert abs(f(x) - f(TWO_PI - x)) < 1e-12
 
     def test_report_internal_consistency(self):
-        report = evaluate_quantifiers(2.7)
-        assert abs(report.witness - (2.0 + 3.0 * report.ReC)) < 1e-15
-        assert report.concurrence == max(0.0, -(1.0 + 3.0 * report.ReC) / 2.0)
-        assert report.bell == TSIRELSON_BOUND * report.S
-        assert (report.concurrence > 0.0) == (report.eof > 0.0)
-
-    def test_report_as_dict_key_order(self):
-        keys = list(evaluate_quantifiers(1.0).as_dict())
-        assert keys == ["x", "S", "ReC", "witness", "concurrence", "eof", "bell", "discord_verbatim", "discord_figure"]
+        report = {name: float(f(2.7)) for name, f in QUANTIFIER_FUNCTIONS.items()}
+        assert abs(report["witness"] - (2.0 + 3.0 * report["ReC"])) < 1e-15
+        assert report["concurrence"] == max(0.0, -(1.0 + 3.0 * report["ReC"]) / 2.0)
+        assert report["bell"] == TSIRELSON_BOUND * report["S"]
+        assert (report["concurrence"] > 0.0) == (report["eof"] > 0.0)
 
 
 class TestQuantifierTable:

@@ -127,6 +127,11 @@ class TestThermalState:
         ) / 3.0
         assert np.max(np.abs(rho - expected)) < 1e-12
 
+    @pytest.mark.parametrize("j", [1.0, -1.0])  # J = -1 has the degenerate triplet ground manifold
+    def test_subnormal_temperature_is_the_zero_temperature_state(self, j):
+        model = DimerModel(coupling=j)
+        assert np.array_equal(thermal_state(model, 1e-310), thermal_state(model, 0.0))
+
     def test_infinite_temperature_limit_is_maximally_mixed(self):
         rho = thermal_state(DimerModel(coupling=1.0), 1e9)
         assert np.max(np.abs(rho - np.eye(4) / 4.0)) < 1e-6
