@@ -5,7 +5,6 @@ density-matrix oracles."""
 from .spin_core import (
     DimerModel,
     EigenSystem,
-    FanoVector,
     SINGLET,
     TRIPLET_MINUS,
     TRIPLET_PLUS,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DimerModel",
     "EigenSystem",
-    "FanoVector",
     "SINGLET",
     "TRIPLET_MINUS",
     "TRIPLET_PLUS",

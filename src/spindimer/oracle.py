@@ -15,10 +15,8 @@ import numpy as np
 from .spin_core import (
     PAULI_PRODUCTS,
     SINGLET,
-    TRIPLET_MINUS,
-    TRIPLET_PLUS,
-    TRIPLET_ZERO,
     _reject_first,
+    bell_diagonal_state,
     fano_decompose,
     projector,
     require_density_matrix,
@@ -41,16 +39,10 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _CROSS_ATOL = 1e-12
 # Largest Bloch-vector entry or off-diagonal correlator of a Bell-diagonal state.
 _BELL_DIAGONAL_ATOL = 1e-10
+# Correlators (<xx>, <yy>, <zz>) of the Bell states Phi+, Phi-, Psi+, Psi-.
+_BELL_CORRELATORS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
 
 SPIN_FLIP = PAULI_PRODUCTS[2, 2]  # Y (x) Y
-CHSH_FIXED_OPERATOR = np.sqrt(2.0) * (PAULI_PRODUCTS[1, 1] + PAULI_PRODUCTS[3, 3])  # sqrt(2) (XX + ZZ)
-
-BELL_STATES = (
-    (TRIPLET_PLUS + TRIPLET_MINUS) / np.sqrt(2.0),  # Phi+
-    (TRIPLET_PLUS - TRIPLET_MINUS) / np.sqrt(2.0),  # Phi-
-    TRIPLET_ZERO,                                   # Psi+
-    SINGLET,                                        # Psi-
-)
 
 
 def _per_state(values: np.ndarray) -> float | np.ndarray:
@@ -62,14 +54,18 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Concurrence from the spin-flip construction.
 
     max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
-    eigenvalues of rho (Y x Y) rho* (Y x Y); conjugation is taken in the
-    computational basis.
+    eigenvalues of rho (Y x Y) rho* (Y x Y), taken as the singular values of
+    sqrt(rho) (Y x Y) sqrt(rho)*; near a pure state, square roots of the
+    eigenvalues of the non-Hermitian product would lose half the digits.
+    With rho = V D^2 V^H from `eigh` (eigenvalues clipped at 0) that matrix
+    is V D [V^H (Y x Y) V*] D V^T, whose singular values are those of the
+    middle factor D [...] D. Conjugation is taken in the computational basis.
     """
-    rho = require_density_matrix(rho)
-    rho_tilde = SPIN_FLIP @ rho.conj() @ SPIN_FLIP
-    eigs = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sort(np.sqrt(np.clip(np.real(eigs), 0.0, None)), axis=-1)
-    return _per_state(np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]))
+    w, v = np.linalg.eigh(require_density_matrix(rho))
+    d = np.sqrt(np.clip(w, 0.0, None))
+    middle = d[..., :, None] * (v.conj().swapaxes(-1, -2) @ SPIN_FLIP @ v.conj()) * d[..., None, :]
+    lam = np.linalg.svd(middle, compute_uv=False)
+    return _per_state(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
 def correlation_oracle(rho: np.ndarray) -> np.ndarray:
@@ -79,7 +75,7 @@ def correlation_oracle(rho: np.ndarray) -> np.ndarray:
     every dimer eigenstate and thermal state; states that mix axes are
     rejected so they cannot silently masquerade as dimer output.
     """
-    tensor = fano_decompose(rho).tensor
+    tensor = fano_decompose(rho)[..., 1:, 1:]
     off = tensor - np.diag(np.diag(tensor))
     worst = float(np.max(np.abs(off)))
     if worst > _CROSS_ATOL:
@@ -90,16 +86,16 @@ def correlation_oracle(rho: np.ndarray) -> np.ndarray:
 def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float | np.ndarray:
     """CHSH expectation magnitude for a two-qubit state.
 
-    mode "fixed" evaluates |tr(rho sqrt(2)(XX + ZZ))|, the standard
-    diagonal direction set. mode "optimized" maximizes over all four
-    measurement directions via the Horodecki criterion,
-    2 sqrt(m1 + m2) with m1, m2 the two largest eigenvalues of T^T T.
+    mode "fixed" evaluates sqrt(2) |<XX> + <ZZ>|, the standard diagonal
+    direction set. mode "optimized" maximizes over all four measurement
+    directions via the Horodecki criterion, 2 sqrt(m1 + m2) with m1, m2 the
+    two largest eigenvalues of T^T T.
     """
     if mode == "fixed":
-        rho = require_density_matrix(rho)
-        return _per_state(np.abs(np.trace(rho @ CHSH_FIXED_OPERATOR, axis1=-2, axis2=-1).real))
+        coeffs = fano_decompose(rho)
+        return _per_state(np.sqrt(2.0) * np.abs(coeffs[..., 1, 1] + coeffs[..., 3, 3]))
     if mode == "optimized":
-        t = fano_decompose(rho).tensor
+        t = fano_decompose(rho)[..., 1:, 1:]
         m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
         return _per_state(2.0 * np.sqrt(m[..., -1] + m[..., -2]))
     raise ValueError(f"unknown CHSH mode {mode!r}; expected 'fixed' or 'optimized'")
@@ -115,7 +111,7 @@ def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
     for each. Cross-checks the Horodecki value without touching its
     T^T T eigenvalue algebra.
     """
-    tensor = fano_decompose(rho).tensor
+    tensor = fano_decompose(rho)[..., 1:, 1:]
     shape = tensor.shape[:-2]
     transposed = tensor.reshape(-1, 3, 3).swapaxes(-1, -2)
 
@@ -132,12 +128,11 @@ def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
 def _bell_diagonal_correlations(rho: np.ndarray) -> np.ndarray:
     """Diagonal (c1, c2, c3) of the correlation tensor of a Bell-diagonal
     state, or of each state of a stack."""
-    fano = fano_decompose(rho)
-    local = np.maximum(np.abs(fano.a).max(axis=-1), np.abs(fano.b).max(axis=-1))
-    off = np.abs(fano.tensor * (1.0 - np.eye(3))).max(axis=(-2, -1))
-    _reject_first((local > _BELL_DIAGONAL_ATOL) | (off > _BELL_DIAGONAL_ATOL), "state",
+    coeffs = fano_decompose(rho)
+    off = np.abs(coeffs * (1.0 - np.eye(4))).max(axis=(-2, -1))
+    _reject_first(off > _BELL_DIAGONAL_ATOL, "state",
                   "is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")
-    return np.diagonal(fano.tensor, axis1=-2, axis2=-1)
+    return np.diagonal(coeffs, axis1=-2, axis2=-1)[..., 1:]
 
 
 def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float | np.ndarray:
@@ -162,14 +157,14 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float 
         raise ValueError(
             f"unknown discord method {method!r}; expected 'closed_form_bell_diagonal' or 'numerical_min'"
         )
-    fano = fano_decompose(rho)
-    a, tensor = fano.a.reshape(-1, 3), fano.tensor.reshape(-1, 3, 3)
+    coeffs = fano_decompose(rho)
+    a, tensor = coeffs[..., 1:, 0].reshape(-1, 3), coeffs[..., 1:, 1:].reshape(-1, 3, 3)
 
     def residual_norm(directions, states):
         return _residual_trace_norm(a[states], tensor[states], directions[..., 0, :])
 
     found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(a))
-    return _per_state(found.reshape(fano.a.shape[:-1]))
+    return _per_state(found.reshape(coeffs.shape[:-2]))
 
 
 def _residual_trace_norm(a: np.ndarray, tensor: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -310,4 +305,5 @@ def random_bell_diagonal_state(rng: np.random.Generator, size=None) -> np.ndarra
     many single draws from the same generator, in order.
     """
     weights = rng.dirichlet(np.ones(4), size)
-    return sum(weights[..., k, None, None] * projector(b) for k, b in enumerate(BELL_STATES))
+    # Elementwise sums, not a matrix product, so a stack equals its single draws bit for bit.
+    return bell_diagonal_state(sum(weights[..., k, None] * _BELL_CORRELATORS[k] for k in range(4)))

@@ -9,6 +9,7 @@ live in `oracle`; this module is deliberately formula-only.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -59,18 +60,26 @@ def witness(x):
     return _at_phase("witness", x)
 
 
+def _scaled(mantissa: float, exponent: int) -> float:
+    """mantissa * 2**exponent: exact in the normal range, inf on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(mantissa, exponent))
+
+
 def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     """Average magnetic susceptibility N g^2 (1 + Re C) / (2 T).
 
     Units are (g mu_B)^2 per energy with mu_B = 1; re_c must lie in
     [-1, 1/3], the physical range of the pairwise correlation. A result that
     is not finite, or subnormal and so short of digits, is a ValueError; the
-    exact 0 at Re C = -1 is not. T divides last, so a huge T cannot
-    overflow an intermediate.
+    exact 0 at Re C = -1 is not. g and T enter through their mantissas, and
+    their binary exponents are applied last (`_scaled`), so no intermediate
+    overflows or underflows unless chi itself does.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
-    chi = model.n_ions / 2.0 * model.g**2 * (1.0 + re_c) / temperature
+    (g, g_exp), (t, t_exp) = math.frexp(model.g), math.frexp(temperature)
+    chi = _scaled(model.n_ions / 2.0 * g * g * (1.0 + re_c) / t, 2 * g_exp - t_exp)
     if not np.isfinite(chi):
         raise ValueError(f"susceptibility is not finite for g = {model.g!r} and temperature = {temperature!r}")
     if 0.0 < chi < np.finfo(float).tiny:
@@ -82,15 +91,17 @@ def witness_from_susceptibility(chi: float, temperature: float, model: DimerMode
     """Witness recovered from a measured susceptibility.
 
     Composing with `susceptibility` reproduces `witness` identically; the
-    g, N, S and T dependence cancels algebraically. T chi is formed first,
-    so the huge T of such a chi cannot overflow an intermediate. A subnormal
+    g, N, S and T dependence cancels algebraically. As in `susceptibility`,
+    T, chi and g enter through their mantissas and their binary exponents
+    are applied last, so T chi / g^2 overflows no intermediate. A subnormal
     chi, short of digits, is a ValueError; chi = 0 is not.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
     if 0.0 < chi < np.finfo(float).tiny:
         raise ValueError(f"susceptibility chi = {chi!r} is subnormal")
-    w = 3.0 * (temperature * chi / (model.n_ions * model.spin * model.g**2)) - 1.0
+    (t, t_exp), (c, c_exp), (g, g_exp) = math.frexp(temperature), math.frexp(chi), math.frexp(model.g)
+    w = 3.0 * _scaled(t * c / (model.n_ions * model.spin * g * g), t_exp + c_exp - 2 * g_exp) - 1.0
     if not np.isfinite(w):
         raise ValueError(f"witness from susceptibility is not finite for chi = {chi!r} and temperature = {temperature!r}")
     return w

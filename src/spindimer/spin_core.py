@@ -24,9 +24,7 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_WITH_IDENTITY = (IDENTITY_2,) + PAULI
 PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in _PAULI_WITH_IDENTITY] for s in _PAULI_WITH_IDENTITY])
 
-# Same-axis two-site Pauli products sigma_a (x) sigma_a, and spin-1/2 site
-# operators S = sigma/2 embedded on each site.
-SIGMA_SIGMA = PAULI_PRODUCTS[[1, 2, 3], [1, 2, 3]]
+# Spin-1/2 site operators S = sigma/2 embedded on each site.
 SPIN_SITE_1 = np.array([np.kron(0.5 * s, IDENTITY_2) for s in PAULI])
 SPIN_SITE_2 = np.array([np.kron(IDENTITY_2, 0.5 * s) for s in PAULI])
 TOTAL_SZ = SPIN_SITE_1[2] + SPIN_SITE_2[2]
@@ -116,7 +114,7 @@ def build_hamiltonian(model: DimerModel) -> np.ndarray:
     positive coupling favors the entangled singlet ground state.
     """
     j = model.coupling
-    return (j / 4.0) * (SIGMA_SIGMA[0] + SIGMA_SIGMA[1] + SIGMA_SIGMA[2])
+    return (j / 4.0) * (PAULI_PRODUCTS[1, 1] + PAULI_PRODUCTS[2, 2] + PAULI_PRODUCTS[3, 3])
 
 
 @dataclass(frozen=True)
@@ -195,41 +193,24 @@ def thermal_state(model: DimerModel, temperature: float) -> np.ndarray:
     return (eig.states * weights) @ eig.states.conj().T
 
 
-@dataclass(frozen=True)
-class FanoVector:
-    """Pauli decomposition of a two-qubit state, or of a stack of states.
+def fano_decompose(rho: np.ndarray) -> np.ndarray:
+    """Pauli coefficients R[..., i, j] = tr(rho sigma_i (x) sigma_j), with
+    sigma_0 = I, of a valid density matrix, or of each matrix of a stack
+    (..., 4, 4).
 
-    `a` and `b` are the local Bloch vectors and `tensor` the full 3x3
-    correlation tensor <sigma_i (x) sigma_j>. For a stack of shape
-    (..., 4, 4) every field carries the leading shape.
+    R[..., 1:, 0] and R[..., 0, 1:] are the Bloch vectors of sites 1 and 2,
+    R[..., 1:, 1:] is the correlation tensor and R[..., 0, 0] is the trace, 1.
     """
-
-    a: np.ndarray
-    b: np.ndarray
-    tensor: np.ndarray
-
-
-def fano_decompose(rho: np.ndarray) -> FanoVector:
-    """Bloch vectors and correlation tensor of a valid density matrix, or
-    of each matrix of a stack (..., 4, 4)."""
     rho = require_density_matrix(rho)
-    # coeffs[..., i, j] = tr(rho sigma_i (x) sigma_j), sigma_0 = I. Each Pauli
-    # product has one nonzero entry per row, so the inner sum is exact, and
-    # the outer sum runs in index order like a matrix trace: the values
-    # match np.trace(rho @ np.kron(sigma_i, sigma_j)) bit for bit.
-    coeffs = np.einsum("ijab,...ba->...ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
-    return FanoVector(a=coeffs[..., 1:, 0], b=coeffs[..., 0, 1:], tensor=coeffs[..., 1:, 1:])
+    # Each Pauli product has one nonzero entry per row, so the inner sum is
+    # exact, and the outer sum runs in index order like a matrix trace: the
+    # values match np.trace(rho @ np.kron(sigma_i, sigma_j)) bit for bit.
+    return np.einsum("ijab,...ba->...ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
 
 
-def fano_reconstruct(fano: FanoVector) -> np.ndarray:
-    """Rebuild the density matrix, or the stack of them, from its Pauli
-    decomposition (exact for any state, since the full correlation tensor
-    is kept)."""
-    coeffs = np.empty(fano.tensor.shape[:-2] + (4, 4))
-    coeffs[..., 0, 0] = 1.0
-    coeffs[..., 1:, 0] = fano.a
-    coeffs[..., 0, 1:] = fano.b
-    coeffs[..., 1:, 1:] = fano.tensor
+def fano_reconstruct(coeffs: np.ndarray) -> np.ndarray:
+    """The matrix sum_ij R[..., i, j] sigma_i (x) sigma_j / 4 of Pauli
+    coefficients R (..., 4, 4): the inverse of `fano_decompose`."""
     return np.einsum("...ij,ijab->...ab", coeffs, PAULI_PRODUCTS) / 4.0
 
 
@@ -244,7 +225,7 @@ def bell_diagonal_state(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape[-1:] != (3,):
         raise ValueError("c must be a 3-vector")
-    rho = PAULI_PRODUCTS[0, 0]
-    for k, ss in enumerate(SIGMA_SIGMA):
-        rho = rho + c[..., k, None, None] * ss
-    return require_density_matrix(rho / 4.0, name="bell-diagonal state")
+    coeffs = np.zeros(c.shape[:-1] + (4, 4))
+    coeffs[..., 0, 0] = 1.0
+    coeffs[..., [1, 2, 3], [1, 2, 3]] = c
+    return require_density_matrix(fano_reconstruct(coeffs), name="bell-diagonal state")

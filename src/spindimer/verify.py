@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import oracle, quantifiers
+from . import oracle
 from .quantifiers import (
     DISCORD_VARIANTS,
     QUANTIFIER_FUNCTIONS,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spindimer import cli, verify
+from spindimer import cli, quantifiers, verify
 from spindimer.cli import main
 from spindimer.quantifiers import QUANTIFIER_FUNCTIONS
 from spindimer.scattering import scattering_phase
@@ -315,6 +315,8 @@ class TestReport:
         ["--temperature", "1.79e308"],
         # A subnormal temperature, with a g small enough to keep chi finite.
         ["--temperature", "1e-310", "--g", "1.5e-154"],
+        # chi is finite (about 1.9e307), but g**2 (1 + Re C) and T chi are not.
+        ["--g", "1.3e154", "--temperature", "10"],
     ])
     def test_extreme_temperature_recovers_the_witness(self, argv):
         report = self.run_json(["report", "--x", "1", *argv, "--format", "json"])
@@ -981,7 +983,7 @@ class TestVerify:
         counted(verify.oracle, "werner_state")
         # The correlation zeros and the three windows, each found once.
         counted(verify, "scan_roots")
-        counted(verify.quantifiers, "scan_roots")
+        counted(quantifiers, "scan_roots")
         assert verify.run_all_checks().all_pass
         assert calls["exclusive_structure_factor"] == 1
         assert 1 <= calls["random_density_matrix"] <= 2

@@ -16,8 +16,12 @@ from spindimer.quantifiers import TSIRELSON_BOUND
 from spindimer.spin_core import (
     IDENTITY_2,
     PAULI,
+    PAULI_PRODUCTS,
     DimerModel,
     SINGLET,
+    TRIPLET_MINUS,
+    TRIPLET_PLUS,
+    TRIPLET_ZERO,
     bell_diagonal_state,
     fano_decompose,
     projector,
@@ -27,6 +31,14 @@ from spindimer.spin_core import (
 
 MIXED = np.eye(4, dtype=complex) / 4.0
 KET_00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+# Phi+, Phi-, Psi+, Psi-: the Bell kets, the reference for the correlator
+# table `random_bell_diagonal_state` mixes.
+BELL_KETS = (
+    (TRIPLET_PLUS + TRIPLET_MINUS) / np.sqrt(2.0),
+    (TRIPLET_PLUS - TRIPLET_MINUS) / np.sqrt(2.0),
+    TRIPLET_ZERO,
+    SINGLET,
+)
 
 
 def trace_norm(matrix):
@@ -107,6 +119,21 @@ class TestWoottersConcurrence:
             expected = max(0.0, (3.0 * p - 1.0) / 2.0)
             assert wootters_concurrence(werner_state(p)) == pytest.approx(expected, abs=1e-10)
 
+    def test_werner_states_near_pure(self):
+        p = np.append(1.0 - np.geomspace(1e-1, 1e-15, 15), 1.0)
+        assert np.max(np.abs(wootters_concurrence(werner_state(p)) - (3.0 * p - 1.0) / 2.0)) < 1e-14
+
+    def test_pure_states_match_the_amplitude_form(self):
+        # A pure state a|00> + b|01> + c|10> + d|11> has concurrence 2|ad - bc|.
+        rng = np.random.default_rng(20)
+        psi = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        states = psi[:, :, None] * psi[:, None, :].conj()
+        expected = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+        stacked = wootters_concurrence(states)
+        assert np.max(np.abs(stacked - expected)) < 1e-13
+        assert np.array_equal(stacked, [wootters_concurrence(rho) for rho in states])
+
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
             wootters_concurrence(np.eye(4, dtype=complex))
@@ -132,6 +159,12 @@ class TestChsh:
         ]
         for rho in states:
             assert chsh_max(rho, "optimized") >= chsh_max(rho, "fixed") - 1e-10
+
+    def test_fixed_matches_the_explicit_operator_trace(self):
+        states = random_density_matrix(np.random.default_rng(21), (4, 250))
+        operator = np.sqrt(2.0) * (PAULI_PRODUCTS[1, 1] + PAULI_PRODUCTS[3, 3])
+        direct = np.abs(np.trace(states @ operator, axis1=-2, axis2=-1).real)
+        assert np.max(np.abs(chsh_max(states, "fixed") - direct)) < 1e-15
 
     def test_equality_on_the_singlet(self):
         rho = projector(SINGLET)
@@ -229,8 +262,8 @@ class TestTraceNormDiscord:
         ]
         cases = full_rank + [(rho, special) for rho in [full_rank[0][0]] + degenerate]
         for rho, n in cases:
-            fano = fano_decompose(rho)
-            norms = _residual_trace_norm(fano.a, fano.tensor, n)
+            coeffs = fano_decompose(rho)
+            norms = _residual_trace_norm(coeffs[1:, 0], coeffs[1:, 1:], n)
             assert norms.shape == (len(n),)
             for nk, value in zip(n, norms):
                 theta, phi = angles(nk)
@@ -238,12 +271,13 @@ class TestTraceNormDiscord:
 
     def test_residual_trace_norm_of_a_stack_matches_each_state(self):
         rng = np.random.default_rng(19)
-        fano = fano_decompose(np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4))
+        coeffs = fano_decompose(np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4))
+        a, tensor = coeffs[..., 1:, 0], coeffs[..., 1:, 1:]
         n = random_directions(rng, 2 * 3 * 5).reshape(2, 3, 5, 3)
-        stacked = _residual_trace_norm(fano.a, fano.tensor, n)
+        stacked = _residual_trace_norm(a, tensor, n)
         assert stacked.shape == (2, 3, 5)
         for index in np.ndindex(2, 3):
-            assert np.array_equal(stacked[index], _residual_trace_norm(fano.a[index], fano.tensor[index], n[index]))
+            assert np.array_equal(stacked[index], _residual_trace_norm(a[index], tensor[index], n[index]))
 
     def test_numerical_min_is_below_every_explicit_direction(self):
         rng = np.random.default_rng(12)
@@ -294,7 +328,7 @@ class TestCorrelationOracle:
         rng = np.random.default_rng(10)
         rho = random_density_matrix(rng)
         direct = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI])
-        assert np.max(np.abs(fano_decompose(rho).tensor - direct)) < 1e-14
+        assert np.max(np.abs(fano_decompose(rho)[1:, 1:] - direct)) < 1e-14
 
 
 class TestRandomStates:
@@ -339,10 +373,16 @@ class TestRandomStates:
     def test_bell_diagonal_states_have_no_local_moments(self):
         rng = np.random.default_rng(321)
         for _ in range(20):
-            fano = fano_decompose(random_bell_diagonal_state(rng))
-            assert np.max(np.abs(fano.a)) < 1e-12
-            assert np.max(np.abs(fano.b)) < 1e-12
-            assert np.max(np.abs(fano.tensor * (1.0 - np.eye(3)))) < 1e-12
+            coeffs = fano_decompose(random_bell_diagonal_state(rng))
+            assert np.max(np.abs(coeffs[1:, 0])) < 1e-12
+            assert np.max(np.abs(coeffs[0, 1:])) < 1e-12
+            assert np.max(np.abs(coeffs[1:, 1:] * (1.0 - np.eye(3)))) < 1e-12
+
+    def test_bell_diagonal_draws_are_mixtures_of_the_bell_kets(self):
+        states = random_bell_diagonal_state(np.random.default_rng(322), 1000)
+        weights = np.random.default_rng(322).dirichlet(np.ones(4), 1000)
+        mixtures = sum(weights[:, k, None, None] * projector(ket) for k, ket in enumerate(BELL_KETS))
+        assert np.max(np.abs(states - mixtures)) < 1e-15
 
 
 def stack_of_kinds(rng, per_kind):
@@ -457,7 +497,7 @@ class TestStackedOracles:
             oracle(states)
 
 
-def x_state_discord(fano):
+def x_state_discord(coeffs):
     """Trace-norm discord of X states, measured on subsystem 1, in the
     closed form of Ciccarello, Tufarelli & Giovannetti, NJP 16, 013038 (2014).
 
@@ -468,9 +508,9 @@ def x_state_discord(fano):
     high = max(g3^2, g2^2 + a3^2), low = min(g3^2, g1^2).
     A test-side reference, independent of the numerical search.
     """
-    c = np.abs(np.diagonal(fano.tensor, axis1=-2, axis2=-1))
+    c = np.abs(np.diagonal(coeffs, axis1=-2, axis2=-1)[..., 1:])
     g1, g2, g3 = np.maximum(c[..., 0], c[..., 1]), np.minimum(c[..., 0], c[..., 1]), c[..., 2]
-    high = np.maximum(g3**2, g2**2 + fano.a[..., 2] ** 2)
+    high = np.maximum(g3**2, g2**2 + coeffs[..., 3, 0] ** 2)
     low = np.minimum(g3**2, g1**2)
     return np.sqrt((g1**2 * high - g2**2 * low) / (high - low + g1**2 - g2**2))
 
@@ -496,9 +536,9 @@ class TestXStateDiscord:
 
     def test_numerical_min_matches_the_x_state_closed_form(self):
         states = random_x_states(np.random.default_rng(18), 100)
-        fano = fano_decompose(states)
+        coeffs = fano_decompose(states)
         # States with a Bloch vector along z, which the Bell-diagonal gate does not cover.
-        assert np.max(np.abs(fano.tensor * (1.0 - np.eye(3)))) <= 1e-12 and np.min(np.abs(fano.a[:, 2])) > 0.0
-        assert np.max(np.abs(fano.a[:, :2])) == 0.0
+        assert np.max(np.abs(coeffs[:, 1:, 1:] * (1.0 - np.eye(3)))) <= 1e-12 and np.min(np.abs(coeffs[:, 3, 0])) > 0.0
+        assert np.max(np.abs(coeffs[:, 1:3, 0])) == 0.0
         numeric = trace_norm_discord(states, "numerical_min")
-        assert np.max(np.abs(numeric - x_state_discord(fano))) < 1e-6
+        assert np.max(np.abs(numeric - x_state_discord(coeffs))) < 1e-6

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,6 +130,17 @@ class TestSusceptibilityPipeline:
         with pytest.raises(ValueError, match="^susceptibility chi = 2.53e-311 is subnormal$"):
             witness_from_susceptibility(2.53e-311, 1000.0, model)
         assert witness_from_susceptibility(0.0, 1000.0, model) == -1.0
+
+    @pytest.mark.parametrize("g, temperature", [(1.3e154, 10.0), (1.3e154, 1e300), (1.5e-154, 1e-310), (2.0, 1.79e308)])
+    def test_extreme_g_and_temperature_match_exact_arithmetic(self, g, temperature):
+        # At g = 1.3e154 both g^2 (1 + Re C) and T chi overflow, although chi
+        # and the witness are finite. The reference is the exact rational
+        # value, rounded once.
+        model, re_c = DimerModel(g=g), float(real_correlation(0.9))
+        chi = susceptibility(temperature, re_c, model)
+        exact = Fraction(g) ** 2 * (1 + Fraction(re_c)) / Fraction(temperature)
+        assert abs(chi - float(exact)) <= 1e-15 * float(exact)
+        assert abs(witness_from_susceptibility(chi, temperature, model) - witness(0.9)) < 1e-15
 
     @pytest.mark.parametrize("bad_temp", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_non_positive_temperature(self, bad_temp):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from spindimer.oracle import trace_norm_discord
+from spindimer.oracle import random_density_matrix, trace_norm_discord
 from spindimer.spin_core import (
     DimerModel,
     SINGLET,
@@ -173,26 +173,28 @@ class TestThermalState:
 
 class TestFanoDecomposition:
     def test_singlet(self):
-        fano = fano_decompose(projector(SINGLET))
-        assert np.max(np.abs(fano.a)) < 1e-12
-        assert np.max(np.abs(fano.b)) < 1e-12
-        assert np.allclose(fano.tensor, -np.eye(3), atol=1e-12)
+        coeffs = fano_decompose(projector(SINGLET))
+        assert abs(coeffs[0, 0] - 1.0) < 1e-12
+        assert np.max(np.abs(coeffs[1:, 0])) < 1e-12
+        assert np.max(np.abs(coeffs[0, 1:])) < 1e-12
+        assert np.allclose(coeffs[1:, 1:], -np.eye(3), atol=1e-12)
 
     def test_maximally_mixed(self):
-        fano = fano_decompose(np.eye(4, dtype=complex) / 4.0)
-        assert np.max(np.abs(fano.a)) < 1e-12
-        assert np.max(np.abs(fano.b)) < 1e-12
-        assert np.max(np.abs(fano.tensor)) < 1e-12
+        coeffs = fano_decompose(np.eye(4, dtype=complex) / 4.0)
+        assert abs(coeffs[0, 0] - 1.0) < 1e-12
+        assert np.max(np.abs(coeffs[1:, 0])) < 1e-12
+        assert np.max(np.abs(coeffs[0, 1:])) < 1e-12
+        assert np.max(np.abs(coeffs[1:, 1:])) < 1e-12
 
     def test_thermal_state_correlations_match_gibbs_sum(self):
-        fano = fano_decompose(thermal_state(DimerModel(coupling=1.0), 1.0))
-        assert np.allclose(fano.tensor, GIBBS_CZ_J1_T1 * np.eye(3), atol=1e-14)
+        coeffs = fano_decompose(thermal_state(DimerModel(coupling=1.0), 1.0))
+        assert np.allclose(coeffs[1:, 1:], GIBBS_CZ_J1_T1 * np.eye(3), atol=1e-14)
 
     def test_flags_non_diagonal_correlation_tensor(self):
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         up = np.array([1.0, 0.0], dtype=complex)
         rho = projector(np.kron(plus, up))
-        assert abs(fano_decompose(rho).tensor[0, 2] - 1.0) < 1e-12
+        assert abs(fano_decompose(rho)[1, 3] - 1.0) < 1e-12
         # (I + sigma_x (x) sigma_z / 2) / 4: no Bloch vectors, one off-diagonal correlation.
         cross = (np.eye(4) + 0.5 * np.kron(np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0]))) / 4.0
         for state in (rho, cross):
@@ -224,6 +226,10 @@ class TestFanoDecomposition:
         rho = 0.6 * projector(np.kron(plus, up)) + 0.4 * projector(SINGLET)
         assert np.max(np.abs(fano_reconstruct(fano_decompose(rho)) - rho)) < 1e-12
 
+    def test_roundtrip_on_ginibre_stacks(self):
+        rho = random_density_matrix(np.random.default_rng(43), (2, 500))
+        assert np.max(np.abs(fano_reconstruct(fano_decompose(rho)) - rho)) < 1e-15
+
 
 class TestStacks:
     """Stacks of states (..., 4, 4) go through the same code as one state."""
@@ -240,13 +246,10 @@ class TestStacks:
     def test_fano_decompose_and_reconstruct_bit_for_bit(self):
         states = self.states()
         stacked = fano_decompose(states)
-        singles = [fano_decompose(rho) for rho in states.reshape(-1, 4, 4)]
-        for field in ("a", "b", "tensor"):
-            expected = np.array([getattr(f, field) for f in singles])
-            got = getattr(stacked, field)
-            assert np.array_equal(got.reshape(expected.shape), expected), field
-            assert got.shape[:2] == (3, 4)
-        rebuilt = np.array([fano_reconstruct(f) for f in singles]).reshape(states.shape)
+        singles = np.array([fano_decompose(rho) for rho in states.reshape(-1, 4, 4)])
+        assert stacked.shape == (3, 4, 4, 4)
+        assert np.array_equal(stacked.reshape(singles.shape), singles)
+        rebuilt = np.array([fano_reconstruct(coeffs) for coeffs in singles]).reshape(states.shape)
         assert np.array_equal(fano_reconstruct(stacked), rebuilt)
 
     def test_bell_diagonal_state_bit_for_bit(self):
