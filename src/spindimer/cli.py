@@ -70,6 +70,9 @@ class SweepConfig:
         unknown = [q for q in self.quantifiers if q not in QUANTIFIER_NAMES]
         if unknown:
             raise ValueError(f"unknown quantifiers {unknown}; choose from {', '.join(QUANTIFIER_NAMES)}")
+        repeated = list(dict.fromkeys(q for i, q in enumerate(self.quantifiers) if q in self.quantifiers[:i]))
+        if repeated:
+            raise ValueError(f"repeated quantifiers {repeated}; name each column once")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 

@@ -23,16 +23,20 @@ from .spin_core import (
 )
 
 # Settings of `_sphere_search` and of the coarse grids it refines: grid
-# sizes (points per hemisphere), the number of best grid points refined, the
-# number of compass directions, the initial and final steps (radians), the
-# sufficient-decrease factor and a cap on search rounds.
+# sizes (points per hemisphere), the most grid points evaluated per objective
+# call, the number of best grid points refined, the number of compass
+# directions, the initial and final steps (radians), the sufficient-decrease
+# factor, the spread (in ulps of a point's value) within which its polls count
+# as flat, and a cap on search rounds.
 _DISCORD_GRID = 256
 _CHSH_GRID = 64
+_GRID_POINTS_PER_CALL = 2048
 _STARTS = 3
 _COMPASS = 6
 _STEP = 0.1
 _TOL = 1e-11
 _GAIN = 1e-3
+_FLAT_ULPS = 4
 _MAX_ROUNDS = 2000
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 # Largest cross-axis correlator `correlation_oracle` lets through.
@@ -41,6 +45,8 @@ _CROSS_ATOL = 1e-12
 _BELL_DIAGONAL_ATOL = 1e-10
 # Correlators (<xx>, <yy>, <zz>) of the Bell states Phi+, Phi-, Psi+, Psi-.
 _BELL_CORRELATORS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+# The Minkowski form diag(1, -1, -1, -1) that `_residual_trace_norm` takes det B with.
+_MINKOWSKI = np.array([1.0, -1.0, -1.0, -1.0])
 
 SPIN_FLIP = PAULI_PRODUCTS[2, 2]  # Y (x) Y
 
@@ -157,39 +163,43 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float 
         raise ValueError(
             f"unknown discord method {method!r}; expected 'closed_form_bell_diagonal' or 'numerical_min'"
         )
-    coeffs = fano_decompose(rho)
-    a, tensor = coeffs[..., 1:, 0].reshape(-1, 3), coeffs[..., 1:, 1:].reshape(-1, 3, 3)
+    block = fano_decompose(rho)[..., 1:, :]
+    shape = block.shape[:-2]
+    block = block.reshape(-1, 3, 4)
 
     def residual_norm(directions, states):
-        return _residual_trace_norm(a[states], tensor[states], directions[..., 0, :])
+        return _residual_trace_norm(block[states], directions[..., 0, :])
 
-    found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(a))
-    return _per_state(found.reshape(coeffs.shape[:-2]))
+    found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(block))
+    return _per_state(found.reshape(shape))
 
 
-def _residual_trace_norm(a: np.ndarray, tensor: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _residual_trace_norm(block: np.ndarray, n: np.ndarray) -> np.ndarray:
     """||rho - dephase(rho)||_1 for the subsystem-1 measurement along unit
-    vectors n, from the Bloch vector a and correlation tensor T of rho.
+    vectors n, from the block W = R[..., 1:, :] = [a | T] of rho's Pauli
+    coefficients: site 1's Bloch vector a and the correlation tensor T.
 
     In the eigenbasis of n.sigma on spin 1 the residual keeps only the two
     off-diagonal blocks, each (1/4) B with B = p I + q.sigma, p = z.a and
     q = z^T T for z = e1 - i e2 built from a frame (e1, e2) orthogonal to n.
-    The trace norm is twice B's nuclear norm over 4, and for a 2x2 matrix
-    that norm is sqrt(||B||_F^2 + 2 |det B|); every term under the root is
+    With u = e1^T W and v = e2^T W, (p, q) = u - i v, so in real arithmetic
+    ||B||_F^2 / 2 = |u|^2 + |v|^2 and det B = p^2 - q.q =
+    eta(u, u) - eta(v, v) - 2i eta(u, v), eta = diag(1, -1, -1, -1). The
+    trace norm is twice B's nuclear norm over 4, and for a 2x2 matrix that
+    norm is sqrt(||B||_F^2 + 2 |det B|); every term under the root is
     non-negative, so near-degenerate states lose nothing to cancellation.
     Turning the frame about n changes z by a phase only, which leaves the
     value unchanged.
-    For states of leading shape L (L = () for one state), a has shape
-    L + (3,), T L + (3, 3) and n L + (q, 3), q directions per state; the
-    result has shape L + (q,).
+    For states of leading shape L (L = () for one state), W has shape
+    L + (3, 4) and n L + (q, 3), q directions per state (or any shape that
+    broadcasts with it); the result has shape L + (q,).
     """
     e1, e2 = _tangent_frame(n)
-    z = e1 - 1j * e2
-    p = np.sum(z * a[..., None, :], axis=-1)
-    q = z @ tensor
-    half_frobenius = np.abs(p) ** 2 + np.sum(np.abs(q) ** 2, axis=-1)  # ||B||_F^2 / 2
-    det = p * p - np.sum(q * q, axis=-1)
-    return np.sqrt((half_frobenius + np.abs(det)) / 2.0)
+    u, v = e1 @ block, e2 @ block
+    uu, vv = u * u, v * v
+    half_frobenius = np.sum(uu + vv, axis=-1)
+    det = np.hypot((uu - vv) @ _MINKOWSKI, 2.0 * ((u * v) @ _MINKOWSKI))
+    return np.sqrt((half_frobenius + det) / 2.0)
 
 
 def _hemisphere(count: int) -> np.ndarray:
@@ -221,27 +231,37 @@ def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
     search, for each of `count` states.
 
     `grid` holds coarse points of shape (g, m, 3), m unit vectors each;
-    `objective(points, states)` maps points of shape (k, ..., m, 3), of the
-    states with indices `states` (shape (k,)), to values of shape (k, ...).
-    The grid is evaluated one state at a time, and the _STARTS best grid
-    points of each state are refined, those of all states as one batch. In
-    every round each point polls _COMPASS * m neighbours: one of its
-    vectors turned by the point's step towards one of _COMPASS evenly
+    `objective(points, states)` maps points of shape (k, ..., m, 3), or
+    (1, ..., m, 3) shared by all, of the states with indices `states` (shape
+    (k,)), to values of shape (k, ...). The grid is evaluated for a chunk of
+    states per call, at most _GRID_POINTS_PER_CALL grid points per call (at
+    least one state), so memory stays bounded on large stacks. The _STARTS
+    best grid points of each state are refined, those of all states as one
+    batch. In every round each point polls _COMPASS * m neighbours: one of
+    its vectors turned by the point's step towards one of _COMPASS evenly
     spaced directions in the tangent plane at that vector. The compass
     turns by the golden angle each round, so over the rounds the polled
     directions cover the tangent plane. The point moves to the best
     neighbour if that lowers its value by more than _GAIN * step^2, and
     halves its step only when none does; the margin stops a point from
     creeping along a valley on gains that vanish faster than its step. A
-    point's path depends on its own state only. For each state, the lowest
-    value reached once every step is below _TOL is returned.
+    point stops once its step is below _TOL, or once no poll beats its
+    value and every poll lies within _FLAT_ULPS ulps of it: the objective
+    is then flat at float resolution at that step, and smaller steps would
+    poll the same values. A point's path depends on its own state only.
+    For each state, the lowest value reached once every point has stopped
+    is returned.
     """
-    coarse = np.empty((count, len(grid)))
-    for state in range(count):
-        coarse[state] = objective(grid[None], [state])[0]
-    starts = np.argsort(coarse, axis=-1)[:, :_STARTS]
-    owner = np.repeat(np.arange(count), starts.shape[1])
-    x, value = grid[starts.ravel()], np.take_along_axis(coarse, starts, axis=-1).ravel()
+    starts = np.empty((count, _STARTS), dtype=int)
+    start_values = np.empty(starts.shape)
+    chunk = max(1, _GRID_POINTS_PER_CALL // len(grid))
+    for first in range(0, count, chunk):
+        states = np.arange(first, min(first + chunk, count))
+        coarse = objective(grid[None], states)
+        starts[states] = np.argsort(coarse, axis=-1)[:, :_STARTS]
+        start_values[states] = np.take_along_axis(coarse, starts[states], axis=-1)
+    owner = np.repeat(np.arange(count), _STARTS)
+    x, value = grid[starts.ravel()], start_values.ravel()
     batch, m = x.shape[:2]
     steps = np.full(batch, _STEP)
     compass = np.exp(2j * np.pi * np.arange(_COMPASS) / _COMPASS)[:, None, None]
@@ -262,11 +282,15 @@ def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
         values = objective(polls, owner[active])
         k = np.argmin(values, axis=1)
         best = values[np.arange(active.size), k]
-        better = best < value[active] - _GAIN * steps[active] ** 2
+        current = value[active]
+        better = best < current - _GAIN * steps[active] ** 2
+        spread = values.max(axis=1) - current
+        flat = (best >= current) & (spread <= _FLAT_ULPS * np.spacing(np.abs(current)))
         x[active[better]] = polls[better, k[better]]
         value[active[better]] = best[better]
         steps[active[~better]] *= 0.5
-    return value.reshape(count, starts.shape[1]).min(axis=-1)
+        steps[active[flat]] = 0.0
+    return value.reshape(count, _STARTS).min(axis=-1)
 
 
 def werner_state(p) -> np.ndarray:

@@ -23,6 +23,10 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # tr(PAULI_PRODUCTS[i, j] PAULI_PRODUCTS[k, l]) = 4 delta_ik delta_jl.
 _PAULI_WITH_IDENTITY = (IDENTITY_2,) + PAULI
 PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in _PAULI_WITH_IDENTITY] for s in _PAULI_WITH_IDENTITY])
+# Each Pauli product has one nonzero entry per row: row b of
+# PAULI_PRODUCTS[i, j] holds _PAULI_ENTRY[i, j, b] in column _PAULI_COLUMN[i, j, b].
+_PAULI_COLUMN = np.argmax(PAULI_PRODUCTS != 0, axis=-1)
+_PAULI_ENTRY = np.take_along_axis(PAULI_PRODUCTS, _PAULI_COLUMN[..., None], axis=-1)[..., 0]
 
 # Spin-1/2 site operators S = sigma/2 embedded on each site.
 SPIN_SITE_1 = np.array([np.kron(0.5 * s, IDENTITY_2) for s in PAULI])
@@ -202,16 +206,22 @@ def fano_decompose(rho: np.ndarray) -> np.ndarray:
     R[..., 1:, 1:] is the correlation tensor and R[..., 0, 0] is the trace, 1.
     """
     rho = require_density_matrix(rho)
-    # Each Pauli product has one nonzero entry per row, so the inner sum is
-    # exact, and the outer sum runs in index order like a matrix trace: the
-    # values match np.trace(rho @ np.kron(sigma_i, sigma_j)) bit for bit.
-    return np.einsum("ijab,...ba->...ija", PAULI_PRODUCTS, rho).sum(axis=-1).real
+    # Term b is (P rho)[b, b] for P = sigma_i (x) sigma_j: the one nonzero
+    # product of row b of P with column b of rho, gathered rather than summed
+    # with zeros. The terms are added pairwise, as numpy sums the four
+    # diagonal entries of a trace, and (rho P)[b, b] is the conjugate of
+    # (P rho)[b, b] for Hermitian rho and P, so the values match
+    # np.trace(rho @ P).real bit for bit.
+    t = _PAULI_ENTRY * rho[..., _PAULI_COLUMN, np.arange(4)]
+    return ((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])).real
 
 
 def fano_reconstruct(coeffs: np.ndarray) -> np.ndarray:
     """The matrix sum_ij R[..., i, j] sigma_i (x) sigma_j / 4 of Pauli
     coefficients R (..., 4, 4): the inverse of `fano_decompose`."""
-    return np.einsum("...ij,ijab->...ab", coeffs, PAULI_PRODUCTS) / 4.0
+    # R is cast to complex first: a real-by-complex einsum takes numpy's slower
+    # mixed-dtype path, with the same values.
+    return np.einsum("...ij,ijab->...ab", np.asarray(coeffs, dtype=complex), PAULI_PRODUCTS) / 4.0
 
 
 def bell_diagonal_state(c: np.ndarray) -> np.ndarray:

@@ -167,6 +167,16 @@ class TestSweep:
         assert main(["sweep", "--quantifiers", "entropy", "--out", out]) == 1
         assert main(["sweep", "--samples", "1", "--out", out]) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_quantifier_is_one_error(self, tmp_path, capsys, fmt):
+        # A repeated name would write its column twice, and two equal JSON keys per object.
+        out = tmp_path / f"x.{fmt}"
+        assert main(["sweep", "--quantifiers", "S,ReC,S,ReC", "--format", fmt, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        message = "error: repeated quantifiers ['S', 'ReC']; name each column once\n"
+        assert (captured.out, captured.err) == ("", message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_an_io_failure(self, tmp_path):
         code = main(["sweep", "--samples", "3", "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spindimer import oracle, verify
 from spindimer.oracle import (
     _residual_trace_norm,
     chsh_direct_search,
@@ -263,7 +264,7 @@ class TestTraceNormDiscord:
         cases = full_rank + [(rho, special) for rho in [full_rank[0][0]] + degenerate]
         for rho, n in cases:
             coeffs = fano_decompose(rho)
-            norms = _residual_trace_norm(coeffs[1:, 0], coeffs[1:, 1:], n)
+            norms = _residual_trace_norm(coeffs[1:, :], n)
             assert norms.shape == (len(n),)
             for nk, value in zip(n, norms):
                 theta, phi = angles(nk)
@@ -272,12 +273,12 @@ class TestTraceNormDiscord:
     def test_residual_trace_norm_of_a_stack_matches_each_state(self):
         rng = np.random.default_rng(19)
         coeffs = fano_decompose(np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4))
-        a, tensor = coeffs[..., 1:, 0], coeffs[..., 1:, 1:]
+        block = coeffs[..., 1:, :]
         n = random_directions(rng, 2 * 3 * 5).reshape(2, 3, 5, 3)
-        stacked = _residual_trace_norm(a, tensor, n)
+        stacked = _residual_trace_norm(block, n)
         assert stacked.shape == (2, 3, 5)
         for index in np.ndindex(2, 3):
-            assert np.array_equal(stacked[index], _residual_trace_norm(a[index], tensor[index], n[index]))
+            assert np.array_equal(stacked[index], _residual_trace_norm(block[index], n[index]))
 
     def test_numerical_min_is_below_every_explicit_direction(self):
         rng = np.random.default_rng(12)
@@ -542,3 +543,45 @@ class TestXStateDiscord:
         assert np.max(np.abs(coeffs[:, 1:3, 0])) == 0.0
         numeric = trace_norm_discord(states, "numerical_min")
         assert np.max(np.abs(numeric - x_state_discord(coeffs))) < 1e-6
+
+
+def objective_calls(monkeypatch):
+    """Objective calls of each `_sphere_search` run, one count per run."""
+    counts = []
+    search = oracle._sphere_search
+
+    def counted(objective, grid, count):
+        counts.append(0)
+
+        def wrapped(points, states):
+            counts[-1] += 1
+            return objective(points, states)
+
+        return search(wrapped, grid, count)
+
+    monkeypatch.setattr(oracle, "_sphere_search", counted)
+    return counts
+
+
+class TestSearchWork:
+    def test_a_flat_objective_stops_after_one_round(self, monkeypatch):
+        # Every direction gives a Werner state the same discord, p, so no
+        # poll beats any start and the search ends after its first round:
+        # one grid call per 8 states (2048 points of 256), then one round.
+        counts = objective_calls(monkeypatch)
+        p = np.linspace(0.0, 1.0, 50)
+        assert trace_norm_discord(MIXED, "numerical_min") == 0.0
+        assert np.max(np.abs(trace_norm_discord(werner_state(p), "numerical_min") - p)) < 1e-15
+        assert counts == [1 + 1, 7 + 1]
+
+    def test_numerical_min_matches_the_closed_form_on_bell_diagonal_states(self):
+        states = random_bell_diagonal_state(np.random.default_rng(23), 1000)
+        gap = trace_norm_discord(states, "numerical_min") - trace_norm_discord(states, "closed_form_bell_diagonal")
+        assert np.max(np.abs(gap)) < 1e-13
+
+    def test_verify_searches_stay_short(self, monkeypatch):
+        # The discord and CHSH searches of `verify`; a stop rule that lets
+        # points halve their steps long after the objective is flat fails here.
+        counts = objective_calls(monkeypatch)
+        assert verify.run_all_checks().all_pass
+        assert len(counts) == 2 and max(counts) <= 90

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from spindimer.oracle import random_density_matrix, trace_norm_discord
 from spindimer.spin_core import (
+    PAULI_PRODUCTS,
     DimerModel,
     SINGLET,
     TOTAL_SZ,
@@ -229,6 +230,28 @@ class TestFanoDecomposition:
     def test_roundtrip_on_ginibre_stacks(self):
         rho = random_density_matrix(np.random.default_rng(43), (2, 500))
         assert np.max(np.abs(fano_reconstruct(fano_decompose(rho)) - rho)) < 1e-15
+
+    def test_decompose_equals_each_matrix_trace_bit_for_bit(self):
+        states = random_density_matrix(np.random.default_rng(44), 1000)
+        for rho in states:
+            traces = np.array([[np.trace(rho @ PAULI_PRODUCTS[i, j]).real for j in range(4)] for i in range(4)])
+            assert np.array_equal(fano_decompose(rho), traces)
+
+    def test_decompose_equals_the_pauli_product_einsum_on_stacks(self):
+        # The reference sums every entry of each row product, zeros included.
+        states = random_density_matrix(np.random.default_rng(45), (3, 400))
+        expected = np.einsum("ijab,...ba->...ija", PAULI_PRODUCTS, states).sum(axis=-1).real
+        assert np.array_equal(fano_decompose(states), expected)
+
+    def test_reconstruct_equals_the_mixed_dtype_einsum(self):
+        rng = np.random.default_rng(46)
+        coeffs = np.concatenate([
+            fano_decompose(random_density_matrix(rng, 500)),
+            fano_decompose(bell_diagonal_state(rng.dirichlet(np.ones(4), 500) @ [[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])),
+        ])
+        expected = np.einsum("...ij,ijab->...ab", coeffs, PAULI_PRODUCTS) / 4.0
+        assert np.array_equal(fano_reconstruct(coeffs), expected)
+        assert np.array_equal(fano_reconstruct(coeffs[3]), expected[3])
 
 
 class TestStacks:
