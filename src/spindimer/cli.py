@@ -244,8 +244,9 @@ def _format_report_text(report: dict) -> str:
         lines.append(f"  {key:<22}= {'n/a' if value is None else _fmt(value)}")
     if "thermal" in report:
         lines.append("thermal quantities:")
+        width = max(map(len, report["thermal"]))
         for key, value in report["thermal"].items():
-            lines.append(f"  {key:<26}= {_fmt(value)}")
+            lines.append(f"  {key:<{width}} = {_fmt(value)}")
     return "\n".join(lines)
 
 

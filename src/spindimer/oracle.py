@@ -5,7 +5,10 @@ routines exist to validate them (and, where the published formulas
 disagree with each other, to adjudicate). The oracles (Wootters, both
 CHSH modes, the CHSH angle search and both discord methods) take one state
 of shape (4, 4) and return a float, or a stack of shape (..., 4, 4) and
-return an array of the leading shape; both go through the same code.
+return an array of the leading shape; `correlation_oracle` returns shape
+(..., 3). Each one that reads the Pauli coefficients R calls
+`fano_decompose` once and works on slices of R, through the same code for
+one state and for a stack.
 """
 
 from __future__ import annotations
@@ -79,14 +82,19 @@ def correlation_oracle(rho: np.ndarray) -> np.ndarray:
 
     Also asserts that the cross-axis correlators vanish, which holds for
     every dimer eigenstate and thermal state; states that mix axes are
-    rejected so they cannot silently masquerade as dimer output.
+    rejected so they cannot silently masquerade as dimer output. A stack
+    (..., 4, 4) gives shape (..., 3).
     """
     tensor = fano_decompose(rho)[..., 1:, 1:]
-    off = tensor - np.diag(np.diag(tensor))
-    worst = float(np.max(np.abs(off)))
-    if worst > _CROSS_ATOL:
-        raise ValueError(f"cross-axis correlators do not vanish (max {worst:.3e})")
-    return np.diag(tensor).copy()
+    return _diagonal(tensor, _CROSS_ATOL, "rho", f"has cross-axis correlators above {_CROSS_ATOL:g}").copy()
+
+
+def _diagonal(coeffs: np.ndarray, atol: float, name: str, problem: str) -> np.ndarray:
+    """Diagonals (a read-only view) of square matrices (..., n, n) with no
+    off-diagonal entry above `atol`; else `name problem`, by `_reject_first`."""
+    off = np.abs(coeffs * (1.0 - np.eye(coeffs.shape[-1]))).max(axis=(-2, -1))
+    _reject_first(off > atol, name, problem)
+    return np.diagonal(coeffs, axis1=-2, axis2=-1)
 
 
 def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float | np.ndarray:
@@ -97,14 +105,14 @@ def chsh_max(rho: np.ndarray, mode: str = "optimized") -> float | np.ndarray:
     directions via the Horodecki criterion, 2 sqrt(m1 + m2) with m1, m2 the
     two largest eigenvalues of T^T T.
     """
+    if mode not in ("fixed", "optimized"):
+        raise ValueError(f"unknown CHSH mode {mode!r}; expected 'fixed' or 'optimized'")
+    coeffs = fano_decompose(rho)
     if mode == "fixed":
-        coeffs = fano_decompose(rho)
         return _per_state(np.sqrt(2.0) * np.abs(coeffs[..., 1, 1] + coeffs[..., 3, 3]))
-    if mode == "optimized":
-        t = fano_decompose(rho)[..., 1:, 1:]
-        m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
-        return _per_state(2.0 * np.sqrt(m[..., -1] + m[..., -2]))
-    raise ValueError(f"unknown CHSH mode {mode!r}; expected 'fixed' or 'optimized'")
+    t = coeffs[..., 1:, 1:]
+    m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    return _per_state(2.0 * np.sqrt(m[..., -1] + m[..., -2]))
 
 
 def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
@@ -117,28 +125,13 @@ def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
     for each. Cross-checks the Horodecki value without touching its
     T^T T eigenvalue algebra.
     """
-    tensor = fano_decompose(rho)[..., 1:, 1:]
-    shape = tensor.shape[:-2]
-    transposed = tensor.reshape(-1, 3, 3).swapaxes(-1, -2)
-
-    def negative_chsh(pairs, states):
+    def negative_chsh(pairs, transposed):
         b, bp = pairs[..., 0, :], pairs[..., 1, :]
-        t = transposed[states]
-        return -(np.linalg.norm((b - bp) @ t, axis=-1) + np.linalg.norm((b + bp) @ t, axis=-1))
+        return -(np.linalg.norm((b - bp) @ transposed, axis=-1) + np.linalg.norm((b + bp) @ transposed, axis=-1))
 
     grid = _hemisphere(_CHSH_GRID)
     pairs = np.stack(np.broadcast_arrays(grid[:, None], grid[None, :]), axis=-2).reshape(-1, 2, 3)
-    return _per_state(-_sphere_search(negative_chsh, pairs, len(transposed)).reshape(shape))
-
-
-def _bell_diagonal_correlations(rho: np.ndarray) -> np.ndarray:
-    """Diagonal (c1, c2, c3) of the correlation tensor of a Bell-diagonal
-    state, or of each state of a stack."""
-    coeffs = fano_decompose(rho)
-    off = np.abs(coeffs * (1.0 - np.eye(4))).max(axis=(-2, -1))
-    _reject_first(off > _BELL_DIAGONAL_ATOL, "state",
-                  "is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")
-    return np.diagonal(coeffs, axis1=-2, axis2=-1)[..., 1:]
+    return _per_state(-_sphere_search(negative_chsh, fano_decompose(rho)[..., 1:, 1:].swapaxes(-1, -2), pairs))
 
 
 def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float | np.ndarray:
@@ -156,22 +149,20 @@ def trace_norm_discord(rho: np.ndarray, method: str = "numerical_min") -> float 
     ones. No normalization factor is applied: this is the raw minimized
     trace norm.
     """
-    if method == "closed_form_bell_diagonal":
-        c = _bell_diagonal_correlations(rho)
-        return _per_state(np.sort(np.abs(c), axis=-1)[..., 1])
-    if method != "numerical_min":
+    if method not in ("closed_form_bell_diagonal", "numerical_min"):
         raise ValueError(
             f"unknown discord method {method!r}; expected 'closed_form_bell_diagonal' or 'numerical_min'"
         )
-    block = fano_decompose(rho)[..., 1:, :]
-    shape = block.shape[:-2]
-    block = block.reshape(-1, 3, 4)
+    coeffs = fano_decompose(rho)
+    if method == "closed_form_bell_diagonal":
+        c = _diagonal(coeffs, _BELL_DIAGONAL_ATOL, "state",
+                      "is not Bell-diagonal (nonzero Bloch vectors or off-diagonal correlations)")[..., 1:]
+        return _per_state(np.sort(np.abs(c), axis=-1)[..., 1])
 
-    def residual_norm(directions, states):
-        return _residual_trace_norm(block[states], directions[..., 0, :])
+    def residual_norm(directions, block):
+        return _residual_trace_norm(block, directions[..., 0, :])
 
-    found = _sphere_search(residual_norm, _hemisphere(_DISCORD_GRID)[:, None, :], len(block))
-    return _per_state(found.reshape(shape))
+    return _per_state(_sphere_search(residual_norm, coeffs[..., 1:, :], _hemisphere(_DISCORD_GRID)[:, None, :]))
 
 
 def _residual_trace_norm(block: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -226,38 +217,43 @@ def _tangent_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
+def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Minimum of `objective` over a product of unit spheres, by compass
-    search, for each of `count` states.
+    search, for each state of a stack.
 
-    `grid` holds coarse points of shape (g, m, 3), m unit vectors each;
-    `objective(points, states)` maps points of shape (k, ..., m, 3), or
-    (1, ..., m, 3) shared by all, of the states with indices `states` (shape
-    (k,)), to values of shape (k, ...). The grid is evaluated for a chunk of
-    states per call, at most _GRID_POINTS_PER_CALL grid points per call (at
-    least one state), so memory stays bounded on large stacks. The _STARTS
-    best grid points of each state are refined, those of all states as one
-    batch. In every round each point polls _COMPASS * m neighbours: one of
-    its vectors turned by the point's step towards one of _COMPASS evenly
-    spaced directions in the tangent plane at that vector. The compass
-    turns by the golden angle each round, so over the rounds the polled
-    directions cover the tangent plane. The point moves to the best
-    neighbour if that lowers its value by more than _GAIN * step^2, and
-    halves its step only when none does; the margin stops a point from
-    creeping along a valley on gains that vanish faster than its step. A
-    point stops once its step is below _TOL, or once no poll beats its
-    value and every poll lies within _FLAT_ULPS ulps of it: the objective
-    is then flat at float resolution at that step, and smaller steps would
-    poll the same values. A point's path depends on its own state only.
-    For each state, the lowest value reached once every point has stopped
-    is returned.
+    `data` holds one matrix per state, of shape L + (r, c) for states of
+    leading shape L (L = () for one state); the result has shape L. `grid`
+    holds coarse points of shape (g, m, 3), m unit vectors each.
+    `objective(points, rows)` scores k states at once: `rows` (k, r, c) are
+    their matrices from `data`, `points` (k, q, m, 3), or (1, q, m, 3)
+    shared by all k, are q points per state, and value [s, j] of the (k, q)
+    result depends on rows[s] and point j of state s only. The grid is
+    evaluated for a chunk of states per call, at most _GRID_POINTS_PER_CALL
+    grid points per call (at least one state), so memory stays bounded on
+    large stacks. The _STARTS best grid points of each state are refined,
+    those of all states as one batch. In every round each point polls
+    _COMPASS * m neighbours: one of its vectors turned by the point's step
+    towards one of _COMPASS evenly spaced directions in the tangent plane at
+    that vector. The compass turns by the golden angle each round, so over
+    the rounds the polled directions cover the tangent plane. The point
+    moves to the best neighbour if that lowers its value by more than
+    _GAIN * step^2, and halves its step only when none does; the margin stops a
+    point from creeping along a valley on gains that vanish faster than its
+    step. A point stops once its step is below _TOL, or once no poll beats
+    its value and every poll lies within _FLAT_ULPS ulps of it: the
+    objective is then flat at float resolution at that step, and smaller
+    steps would poll the same values. A point's path depends on its own
+    state only. For each state, the lowest value reached once every point
+    has stopped is returned.
     """
+    rows = data.reshape(-1, *data.shape[-2:])
+    count = len(rows)
     starts = np.empty((count, _STARTS), dtype=int)
     start_values = np.empty(starts.shape)
     chunk = max(1, _GRID_POINTS_PER_CALL // len(grid))
     for first in range(0, count, chunk):
         states = np.arange(first, min(first + chunk, count))
-        coarse = objective(grid[None], states)
+        coarse = objective(grid[None], rows[states])
         starts[states] = np.argsort(coarse, axis=-1)[:, :_STARTS]
         start_values[states] = np.take_along_axis(coarse, starts[states], axis=-1)
     owner = np.repeat(np.arange(count), _STARTS)
@@ -279,7 +275,7 @@ def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
         turned /= np.linalg.norm(turned, axis=-1, keepdims=True)
         # Neighbour (direction d, moved sphere s) takes sphere s from `turned`.
         polls = np.where(replaced, turned[:, :, None], u[:, None, None]).reshape(-1, _COMPASS * m, m, 3)
-        values = objective(polls, owner[active])
+        values = objective(polls, rows[owner[active]])
         k = np.argmin(values, axis=1)
         best = values[np.arange(active.size), k]
         current = value[active]
@@ -290,7 +286,7 @@ def _sphere_search(objective, grid: np.ndarray, count: int) -> np.ndarray:
         value[active[better]] = best[better]
         steps[active[~better]] *= 0.5
         steps[active[flat]] = 0.0
-    return value.reshape(count, _STARTS).min(axis=-1)
+    return value.reshape(count, _STARTS).min(axis=-1).reshape(data.shape[:-2])
 
 
 def werner_state(p) -> np.ndarray:

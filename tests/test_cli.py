@@ -162,6 +162,12 @@ class TestSweep:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_quantifier_list_is_one_error(self, tmp_path, capsys):
+        assert main(["sweep", "--quantifiers", ",", "--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: at least one quantifier must be requested\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_quantifier_and_sample_count(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert main(["sweep", "--quantifiers", "entropy", "--out", out]) == 1
@@ -346,6 +352,17 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines(keepends=True)
         assert "".join(lines[:10]) == (DATA / "report_8.5.golden.txt").read_text(encoding="utf-8")
 
+    def test_thermal_text_matches_golden(self, capsys):
+        # Labels and their alignment byte for byte; values within 1e-12, as in the JSON goldens.
+        assert main(["report", "--x", "8.5", "--temperature", "0.7", "--coupling", "1.3", "--g", "2.1"]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = (DATA / "report_8.5_thermal.golden.txt").read_text(encoding="utf-8").splitlines()
+        assert len(got) == len(want)
+        for line, golden in zip(got, want):
+            (label, _, value), (golden_label, _, golden_value) = line.partition("= "), golden.partition("= ")
+            assert label == golden_label, line
+            assert value == golden_value or abs(float(value) - float(golden_value)) <= 1e-12, line
+
     @pytest.mark.parametrize("golden, argv", [
         # x = pi/2, where the figure-consistent discord vanishes and its ratio is null.
         ("report_1.5707963267948966.golden.json", ["--x", "1.5707963267948966"]),
@@ -372,6 +389,15 @@ class TestReport:
         captured = capsys.readouterr()
         assert "must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("q, message", [
+        ("1,0", "--q must be three comma-separated numbers"),
+        ("1,a,0", "--q must be numeric: could not convert string to float: 'a'"),
+    ])
+    def test_malformed_vector_is_one_error(self, capsys, q, message):
+        assert main(["report", "--q", q, "--r1", "0,0,0", "--r2", "1,0,0"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestIngest:

@@ -325,6 +325,20 @@ class TestCorrelationOracle:
         with pytest.raises(ValueError, match="cross-axis"):
             correlation_oracle(projector(np.kron(plus, up)))
 
+    def test_stack_of_thermal_states_matches_each_state_bit_for_bit(self):
+        states = np.array([thermal_state(DimerModel(coupling=j), t) for j in (1.0, -0.7) for t in (0.3, 1.0, 4.0)])
+        stacked = correlation_oracle(states.reshape(2, 3, 4, 4))
+        assert stacked.shape == (2, 3, 3)
+        assert stacked.tobytes() == np.array([correlation_oracle(rho) for rho in states]).tobytes()
+
+    def test_stack_names_the_cross_correlated_state_by_its_index(self):
+        plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        up = np.array([1.0, 0.0], dtype=complex)
+        states = np.array([thermal_state(DimerModel(), 1.0)] * 6).reshape(2, 3, 4, 4)
+        states[1, 2] = projector(np.kron(plus, up))
+        with pytest.raises(ValueError, match=r"^rho\[1, 2\] has cross-axis correlators above 1e-12$"):
+            correlation_oracle(states)
+
     def test_fano_tensor_matches_direct_traces(self):
         rng = np.random.default_rng(10)
         rho = random_density_matrix(rng)
@@ -550,14 +564,14 @@ def objective_calls(monkeypatch):
     counts = []
     search = oracle._sphere_search
 
-    def counted(objective, grid, count):
+    def counted(objective, data, grid):
         counts.append(0)
 
-        def wrapped(points, states):
+        def wrapped(points, rows):
             counts[-1] += 1
-            return objective(points, states)
+            return objective(points, rows)
 
-        return search(wrapped, grid, count)
+        return search(wrapped, data, grid)
 
     monkeypatch.setattr(oracle, "_sphere_search", counted)
     return counts

@@ -131,6 +131,10 @@ class TestSusceptibilityPipeline:
             witness_from_susceptibility(2.53e-311, 1000.0, model)
         assert witness_from_susceptibility(0.0, 1000.0, model) == -1.0
 
+    def test_rejects_a_measured_susceptibility_whose_witness_overflows(self):
+        with pytest.raises(ValueError, match=r"^witness from susceptibility is not finite for chi = 1e\+308 and temperature = 1e\+308$"):
+            witness_from_susceptibility(1e308, 1e308, DimerModel())
+
     @pytest.mark.parametrize("g, temperature", [(1.3e154, 10.0), (1.3e154, 1e300), (1.5e-154, 1e-310), (2.0, 1.79e308)])
     def test_extreme_g_and_temperature_match_exact_arithmetic(self, g, temperature):
         # At g = 1.3e154 both g^2 (1 + Re C) and T chi overflow, although chi

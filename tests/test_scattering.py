@@ -128,6 +128,11 @@ class TestExclusiveStructureFactor:
                 np.array([bad, 0.0, 0.0, 0.0]), dimer_eigensystem, np.ones(3), np.zeros(3), np.ones(3)
             )
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_rejects_an_initial_state_that_is_not_4_components(self, dimer_eigensystem, shape):
+        with pytest.raises(ValueError, match="^initial must be a 4-component state vector$"):
+            exclusive_structure_factor(np.full(shape, 0.5), dimer_eigensystem, np.ones(3), np.zeros(3), np.ones(3))
+
     def test_rejects_unnormalized_initial_state(self, dimer_eigensystem):
         with pytest.raises(ValueError, match="normalized"):
             exclusive_structure_factor(
