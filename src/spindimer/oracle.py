@@ -127,7 +127,7 @@ def chsh_direct_search(rho: np.ndarray) -> float | np.ndarray:
     """
     def negative_chsh(pairs, transposed):
         b, bp = pairs[..., 0, :], pairs[..., 1, :]
-        return -(np.linalg.norm((b - bp) @ transposed, axis=-1) + np.linalg.norm((b + bp) @ transposed, axis=-1))
+        return -(_norm((b - bp) @ transposed) + _norm((b + bp) @ transposed))
 
     grid = _hemisphere(_CHSH_GRID)
     pairs = np.stack(np.broadcast_arrays(grid[:, None], grid[None, :]), axis=-2).reshape(-1, 2, 3)
@@ -188,7 +188,8 @@ def _residual_trace_norm(block: np.ndarray, n: np.ndarray) -> np.ndarray:
     e1, e2 = _tangent_frame(n)
     u, v = e1 @ block, e2 @ block
     uu, vv = u * u, v * v
-    half_frobenius = np.sum(uu + vv, axis=-1)
+    s = uu + vv
+    half_frobenius = s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3]  # left to right, as np.sum adds 4 terms
     det = np.hypot((uu - vv) @ _MINKOWSKI, 2.0 * ((u * v) @ _MINKOWSKI))
     return np.sqrt((half_frobenius + det) / 2.0)
 
@@ -211,10 +212,22 @@ def _tangent_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, y, z = u[..., 0], u[..., 1], u[..., 2]
     sign = np.copysign(1.0, z)
     a = -1.0 / (sign + z)
-    b = x * y * a
-    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
-    e2 = np.stack([b, sign + y * y * a, -y], axis=-1)
+    e1, e2 = np.empty_like(u), np.empty_like(u)
+    b = np.multiply(x * y, a, out=e2[..., 0])
+    np.add(1.0, sign * x * x * a, out=e1[..., 0])
+    np.multiply(sign, b, out=e1[..., 1])
+    np.multiply(-sign, x, out=e1[..., 2])
+    np.add(sign, y * y * a, out=e2[..., 1])
+    np.negative(y, out=e2[..., 2])
     return e1, e2
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, of length 3, of v: the squares
+    summed left to right, as `np.linalg.norm(v, axis=-1)` sums them, so the
+    values are the same bit for bit, without numpy's short-axis reduction."""
+    square = v * v
+    return np.sqrt(square[..., 0] + square[..., 1] + square[..., 2])
 
 
 def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -245,6 +258,15 @@ def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
     steps would poll the same values. A point's path depends on its own
     state only. For each state, the lowest value reached once every point
     has stopped is returned.
+
+    The points still searching are kept compacted, with their rows, and are
+    gathered again only after a round in which one stopped. Each round is
+    built compass-major, as arrays of shape (_COMPASS, points * m * 3), so
+    numpy's inner loops run over the whole batch rather than over three
+    coordinates; the objective sees the polls through a transposed view.
+    Every poll, norm and comparison is the same arithmetic, in the same
+    order, as a round built point by point, so the values are the same bit
+    for bit.
     """
     rows = data.reshape(-1, *data.shape[-2:])
     count = len(rows)
@@ -257,36 +279,47 @@ def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
         starts[states] = np.argsort(coarse, axis=-1)[:, :_STARTS]
         start_values[states] = np.take_along_axis(coarse, starts[states], axis=-1)
     owner = np.repeat(np.arange(count), _STARTS)
-    x, value = grid[starts.ravel()], start_values.ravel()
-    batch, m = x.shape[:2]
-    steps = np.full(batch, _STEP)
-    compass = np.exp(2j * np.pi * np.arange(_COMPASS) / _COMPASS)[:, None, None]
-    replaced = np.eye(m, dtype=bool)[:, :, None]  # [moved sphere, sphere, xyz]
+    value = start_values.ravel()
+    # `live` indexes the points still searching in the batch; a point that
+    # stops leaves its value in `value`.
+    live = np.arange(len(value))
+    x, live_value, live_rows = grid[starts.ravel()], value.copy(), rows[owner]
+    m = x.shape[1]
+    steps = np.full(len(live), _STEP)
+    compass = np.exp(2j * np.pi * np.arange(_COMPASS) / _COMPASS)[:, None]
     for r in range(_MAX_ROUNDS):
-        active = np.nonzero(steps > _TOL)[0]
-        if active.size == 0:
+        size = live.size
+        if size == 0:
             break
-        u = x[active]
-        e1, e2 = _tangent_frame(u)
+        # Row d of each (_COMPASS, size * m * 3) array is compass direction d.
+        e1, e2 = _tangent_frame(x)
         turn = compass * np.exp(1j * _GOLDEN_ANGLE * r)
-        tangent = turn.real * e1[:, None] + turn.imag * e2[:, None]
-        h = steps[active, None, None, None]
-        turned = np.cos(h) * u[:, None] + np.sin(h) * tangent
-        turned /= np.linalg.norm(turned, axis=-1, keepdims=True)
-        # Neighbour (direction d, moved sphere s) takes sphere s from `turned`.
-        polls = np.where(replaced, turned[:, :, None], u[:, None, None]).reshape(-1, _COMPASS * m, m, 3)
-        values = objective(polls, rows[owner[active]])
-        k = np.argmin(values, axis=1)
-        best = values[np.arange(active.size), k]
-        current = value[active]
-        better = best < current - _GAIN * steps[active] ** 2
-        spread = values.max(axis=1) - current
-        flat = (best >= current) & (spread <= _FLAT_ULPS * np.spacing(np.abs(current)))
-        x[active[better]] = polls[better, k[better]]
-        value[active[better]] = best[better]
-        steps[active[~better]] *= 0.5
-        steps[active[flat]] = 0.0
-    return value.reshape(count, _STARTS).min(axis=-1).reshape(data.shape[:-2])
+        turned = turn.real * e1.reshape(-1) + turn.imag * e2.reshape(-1)
+        turned *= np.sin(steps).repeat(3 * m)
+        turned += np.cos(steps).repeat(3 * m) * x.reshape(-1)
+        turned /= _norm(turned.reshape(_COMPASS, -1, 3)).repeat(3, axis=-1)
+        # polls[d, s, i] is point i with its sphere s turned towards direction d.
+        polls = np.empty((_COMPASS, m, size, m, 3))
+        polls[...] = x
+        for s in range(m):
+            polls[:, s, :, s] = turned.reshape(_COMPASS, size, m, 3)[:, :, s]
+        points = polls.transpose(2, 0, 1, 3, 4).reshape(size, _COMPASS * m, m, 3)
+        values = objective(points, live_rows)
+        k = values.argmin(axis=1)
+        best = values[np.arange(size), k]
+        better = best < live_value - _GAIN * steps ** 2
+        spread = np.ascontiguousarray(values.T).max(axis=0) - live_value  # a long axis to reduce
+        flat = (best >= live_value) & (spread <= _FLAT_ULPS * np.spacing(np.abs(live_value)))
+        moved = better.nonzero()[0]
+        x[moved] = points[moved, k[moved]]
+        live_value = np.where(better, best, live_value)
+        steps = np.where(better, steps, 0.5 * steps)
+        going = ~flat & (steps > _TOL)
+        if not going.all():
+            value[live] = live_value
+            live, x, live_value, live_rows, steps = (a[going] for a in (live, x, live_value, live_rows, steps))
+    value[live] = live_value
+    return value.reshape(-1, _STARTS).min(axis=-1).reshape(data.shape[:-2])
 
 
 def werner_state(p) -> np.ndarray:

@@ -42,6 +42,12 @@ SINGLET = (_E[:, 1] - _E[:, 2]) / np.sqrt(2.0)        # (0, 0)
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# How far above EIGENVALUE_FLOOR the Cholesky certificate of
+# `require_density_matrix` sets its shift: about 450 ulps of 1, above the
+# backward error of a Cholesky factorization (and of `eigvalsh`) on a
+# unit-trace 4x4 matrix. With no margin, states whose `eigvalsh` minimum lay
+# up to 4e-16 below the floor were certified.
+_CERTIFICATE_MARGIN = 1e-13
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
@@ -59,27 +65,46 @@ def _reject_first(bad: np.ndarray, name: str, problem: str) -> None:
         raise ValueError(f"{name} {problem}")
 
 
+def _reject_entries(bad: np.ndarray, name: str, problem: str) -> None:
+    """`_reject_first` on the matrices (..., 4, 4) of `bad` that have a set
+    entry; the flat test runs first, and the per-matrix one only if it fails."""
+    if bad.any():
+        _reject_first(bad.any(axis=(-2, -1)), name, problem)
+
+
 def require_hermitian(op: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate a finite 4x4 Hermitian matrix, or a stack of them of shape (..., 4, 4)."""
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (4, 4):
         raise ValueError(f"{name} must be a 4x4 matrix, got shape {op.shape}")
     # Checked first: every later check is a comparison, which NaN passes.
-    _reject_first(~np.isfinite(op).all(axis=(-2, -1)), name, "has a non-finite entry")
-    _reject_first(np.abs(op - op.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > HERMITICITY_ATOL, name,
-                  f"is not Hermitian within {HERMITICITY_ATOL:g}")
+    _reject_entries(~np.isfinite(op), name, "has a non-finite entry")
+    _reject_entries(np.abs(op - op.conj().swapaxes(-1, -2)) > HERMITICITY_ATOL, name,
+                    f"is not Hermitian within {HERMITICITY_ATOL:g}")
     return op
 
 
 def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Validate a two-qubit density matrix, or a stack of them of shape
-    (..., 4, 4): Hermitian, unit trace, positive."""
+    (..., 4, 4): Hermitian, unit trace, no eigenvalue below EIGENVALUE_FLOOR.
+
+    Positivity is certified by one Cholesky factorization of the stack
+    rho - (EIGENVALUE_FLOOR + _CERTIFICATE_MARGIN) I. It succeeds only if
+    every state's smallest eigenvalue lies above that shift, to within a
+    backward error far below the margin, so it never passes a state whose
+    `eigvalsh` minimum is below the floor. Only when it fails does
+    `eigvalsh` run; that test alone decides, and names the first state
+    below the floor, so a state between the floor and the shift still passes.
+    """
     rho = require_hermitian(rho, name=name)
     trace = np.trace(rho, axis1=-2, axis2=-1)
     _reject_first((np.abs(trace.real - 1.0) > TRACE_ATOL) | (np.abs(trace.imag) > TRACE_ATOL), name,
                   "does not have unit trace")
-    _reject_first(np.linalg.eigvalsh(rho).min(axis=-1) < EIGENVALUE_FLOOR, name,
-                  f"has a negative eigenvalue below {EIGENVALUE_FLOOR:g}")
+    try:
+        np.linalg.cholesky(rho - (EIGENVALUE_FLOOR + _CERTIFICATE_MARGIN) * _E)
+    except np.linalg.LinAlgError:
+        _reject_first(np.linalg.eigvalsh(rho).min(axis=-1) < EIGENVALUE_FLOOR, name,
+                      f"has a negative eigenvalue below {EIGENVALUE_FLOOR:g}")
     return rho
 
 
@@ -135,7 +160,7 @@ class EigenSystem:
 
 
 _COUPLED_LABELS = ((1, 1), (1, 0), (1, -1), (0, 0))
-_COUPLED_STATES = (TRIPLET_PLUS, TRIPLET_ZERO, TRIPLET_MINUS, SINGLET)
+_COUPLED_KETS = np.column_stack((TRIPLET_PLUS, TRIPLET_ZERO, TRIPLET_MINUS, SINGLET))
 
 
 def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
@@ -147,6 +172,8 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
     so energies of exact inputs come out exact.
     """
     h = require_hermitian(hamiltonian, name="hamiltonian")
+    if h.ndim != 2:
+        raise ValueError(f"hamiltonian must be one 4x4 matrix, got shape {h.shape}")
     scale = max(1.0, float(np.max(np.abs(h))))
     atol = 1e-9 * scale
 
@@ -154,23 +181,21 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
     # central block [[d, o], [o, d]].
     d = 0.5 * (h[1, 1].real + h[2, 2].real)
     o = h[1, 2].real
-    energies = (h[0, 0].real, d + o, h[3, 3].real, d - o)
+    energies = np.array([h[0, 0].real, d + o, h[3, 3].real, d - o])
 
-    entries = []
-    for label, state, energy in zip(_COUPLED_LABELS, _COUPLED_STATES, energies):
-        residual = np.max(np.abs(h @ state - energy * state))
+    residuals = np.abs(h @ _COUPLED_KETS - _COUPLED_KETS * energies).max(axis=0)
+    for label, residual in zip(_COUPLED_LABELS, residuals):
         if residual > atol:
             raise ValueError(
                 "hamiltonian is not diagonal in the singlet-triplet basis "
                 f"(residual {residual:.3e} for (s, m_s) = {label})"
             )
-        entries.append((energy, label, state))
 
-    entries.sort(key=lambda e: (e[0], -e[1][1], -e[1][0]))
+    order = sorted(range(4), key=lambda k: (energies[k], -_COUPLED_LABELS[k][1], -_COUPLED_LABELS[k][0]))
     return EigenSystem(
-        energies=np.array([e[0] for e in entries]),
-        states=np.column_stack([e[2] for e in entries]),
-        labels=tuple(e[1] for e in entries),
+        energies=energies[order],
+        states=_COUPLED_KETS[:, order],
+        labels=tuple(_COUPLED_LABELS[k] for k in order),
     )
 
 

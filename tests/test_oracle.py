@@ -599,3 +599,148 @@ class TestSearchWork:
         counts = objective_calls(monkeypatch)
         assert verify.run_all_checks().all_pass
         assert len(counts) == 2 and max(counts) <= 90
+
+
+def reference_tangent_frame(u):
+    """The stacked form of `_tangent_frame`, as the broadcast-form search
+    round below built its frames."""
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
+    e2 = np.stack([b, sign + y * y * a, -y], axis=-1)
+    return e1, e2
+
+
+def reference_residual_trace_norm(block, n):
+    """`_residual_trace_norm` with numpy's own reductions: the stacked frame
+    and `np.sum` over the last axis."""
+    e1, e2 = reference_tangent_frame(n)
+    u, v = e1 @ block, e2 @ block
+    uu, vv = u * u, v * v
+    half_frobenius = np.sum(uu + vv, axis=-1)
+    det = np.hypot((uu - vv) @ oracle._MINKOWSKI, 2.0 * ((u * v) @ oracle._MINKOWSKI))
+    return np.sqrt((half_frobenius + det) / 2.0)
+
+
+def reference_residual_norm(directions, block):
+    return reference_residual_trace_norm(block, directions[..., 0, :])
+
+
+def reference_negative_chsh(pairs, transposed):
+    b, bp = pairs[..., 0, :], pairs[..., 1, :]
+    return -(np.linalg.norm((b - bp) @ transposed, axis=-1) + np.linalg.norm((b + bp) @ transposed, axis=-1))
+
+
+def reference_sphere_search(objective, data, grid):
+    """The compass search with its round in broadcast form: every active
+    point is gathered each round, its polls are built point-major by
+    `np.where`, and norms and sums are numpy's reductions over the last
+    axis. The shipped `_sphere_search` must reach the same values bit for bit."""
+    rows = data.reshape(-1, *data.shape[-2:])
+    count = len(rows)
+    starts = np.empty((count, oracle._STARTS), dtype=int)
+    start_values = np.empty(starts.shape)
+    chunk = max(1, oracle._GRID_POINTS_PER_CALL // len(grid))
+    for first in range(0, count, chunk):
+        states = np.arange(first, min(first + chunk, count))
+        coarse = objective(grid[None], rows[states])
+        starts[states] = np.argsort(coarse, axis=-1)[:, :oracle._STARTS]
+        start_values[states] = np.take_along_axis(coarse, starts[states], axis=-1)
+    owner = np.repeat(np.arange(count), oracle._STARTS)
+    x, value = grid[starts.ravel()], start_values.ravel()
+    batch, m = x.shape[:2]
+    steps = np.full(batch, oracle._STEP)
+    compass = np.exp(2j * np.pi * np.arange(oracle._COMPASS) / oracle._COMPASS)[:, None, None]
+    replaced = np.eye(m, dtype=bool)[:, :, None]
+    for r in range(oracle._MAX_ROUNDS):
+        active = np.nonzero(steps > oracle._TOL)[0]
+        if active.size == 0:
+            break
+        u = x[active]
+        e1, e2 = reference_tangent_frame(u)
+        turn = compass * np.exp(1j * oracle._GOLDEN_ANGLE * r)
+        tangent = turn.real * e1[:, None] + turn.imag * e2[:, None]
+        h = steps[active, None, None, None]
+        turned = np.cos(h) * u[:, None] + np.sin(h) * tangent
+        turned /= np.linalg.norm(turned, axis=-1, keepdims=True)
+        polls = np.where(replaced, turned[:, :, None], u[:, None, None]).reshape(-1, oracle._COMPASS * m, m, 3)
+        values = objective(polls, rows[owner[active]])
+        k = np.argmin(values, axis=1)
+        best = values[np.arange(active.size), k]
+        current = value[active]
+        better = best < current - oracle._GAIN * steps[active] ** 2
+        spread = values.max(axis=1) - current
+        flat = (best >= current) & (spread <= oracle._FLAT_ULPS * np.spacing(np.abs(current)))
+        x[active[better]] = polls[better, k[better]]
+        value[active[better]] = best[better]
+        steps[active[~better]] *= 0.5
+        steps[active[flat]] = 0.0
+    return value.reshape(count, oracle._STARTS).min(axis=-1).reshape(data.shape[:-2])
+
+
+def reference_discord(rho):
+    block = fano_decompose(rho)[..., 1:, :]
+    grid = oracle._hemisphere(oracle._DISCORD_GRID)[:, None, :]
+    return reference_sphere_search(reference_residual_norm, block, grid)
+
+
+def reference_chsh_search(rho):
+    grid = oracle._hemisphere(oracle._CHSH_GRID)
+    pairs = np.stack(np.broadcast_arrays(grid[:, None], grid[None, :]), axis=-2).reshape(-1, 2, 3)
+    return -reference_sphere_search(reference_negative_chsh, fano_decompose(rho)[..., 1:, 1:].swapaxes(-1, -2), pairs)
+
+
+def same_bits(shipped, reference):
+    shipped, reference = np.asarray(shipped, dtype=float), np.asarray(reference, dtype=float)
+    return shipped.shape == reference.shape and shipped.tobytes() == reference.tobytes()
+
+
+class TestCompassMajorRound:
+    """The compass-major search round reaches the values of the broadcast-form
+    round bit for bit: the same polls, in the same order, through the same
+    arithmetic."""
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            lambda: random_density_matrix(np.random.default_rng(31), (3, 7)),
+            lambda: random_bell_diagonal_state(np.random.default_rng(32), 300),
+            lambda: random_density_matrix(np.random.default_rng(33)),
+            lambda: werner_state(0.7),
+        ],
+        ids=["ginibre_3x7", "bell_diagonal_300", "ginibre_single", "werner_single"],
+    )
+    def test_discord_search(self, states):
+        rho = states()
+        assert same_bits(trace_norm_discord(rho, "numerical_min"), reference_discord(rho))
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            lambda: random_density_matrix(np.random.default_rng(34), 40),
+            lambda: random_density_matrix(np.random.default_rng(35), (3, 7)),
+            lambda: random_density_matrix(np.random.default_rng(36)),
+            lambda: werner_state(0.8),
+        ],
+        ids=["ginibre_40", "ginibre_3x7", "ginibre_single", "werner_single"],
+    )
+    def test_chsh_search(self, states):
+        rho = states()
+        assert same_bits(chsh_direct_search(rho), reference_chsh_search(rho))
+
+    def test_residual_trace_norm_matches_the_np_sum_form(self):
+        rng = np.random.default_rng(37)
+        block = fano_decompose(random_density_matrix(rng, (5, 3)))[..., 1:, :]
+        n = random_directions(rng, 5 * 3 * 6).reshape(5, 3, 6, 3)
+        assert same_bits(_residual_trace_norm(block, n), reference_residual_trace_norm(block, n))
+        # Directions laid out compass-major, as the search round hands them over.
+        polls = random_directions(rng, 6 * 15).reshape(6, 15, 3)
+        view = polls.transpose(1, 0, 2)
+        assert same_bits(_residual_trace_norm(block.reshape(15, 3, 4), view),
+                         reference_residual_trace_norm(block.reshape(15, 3, 4), np.ascontiguousarray(view)))
+
+    def test_norm_matches_np_linalg_norm(self):
+        v = np.random.default_rng(38).standard_normal((1000, 7, 3)) * np.logspace(-150, 150, 7)[:, None]
+        assert same_bits(oracle._norm(v), np.linalg.norm(v, axis=-1))

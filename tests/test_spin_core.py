@@ -5,7 +5,9 @@ import hypothesis.strategies as st
 
 from spindimer.oracle import random_density_matrix, trace_norm_discord
 from spindimer.spin_core import (
+    EIGENVALUE_FLOOR,
     PAULI_PRODUCTS,
+    TRACE_ATOL,
     DimerModel,
     SINGLET,
     TOTAL_SZ,
@@ -17,8 +19,10 @@ from spindimer.spin_core import (
     eigensystem,
     fano_decompose,
     fano_reconstruct,
+    _reject_first,
     projector,
     require_density_matrix,
+    require_hermitian,
     thermal_state,
 )
 
@@ -113,6 +117,17 @@ class TestEigensystem:
         eig = eigensystem(build_hamiltonian(DimerModel(coupling=1.0)))
         state = eig.states[:, eig.labels.index((1, 0))]
         assert abs(abs(np.vdot(TRIPLET_ZERO, state)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("count", [2, 1])
+    def test_rejects_a_stack(self, count):
+        stack = np.broadcast_to(build_hamiltonian(DimerModel(coupling=1.0)), (count, 4, 4))
+        with pytest.raises(ValueError, match=rf"^hamiltonian must be one 4x4 matrix, got shape \({count}, 4, 4\)$"):
+            eigensystem(stack)
+
+    def test_residual_names_the_first_coupled_state_off_the_diagonal(self):
+        # A transverse field on site 1 takes |00> to |10>: residual 1 for the first ket.
+        with pytest.raises(ValueError, match=r"residual 1\.000e\+00 for \(s, m_s\) = \(1, 1\)"):
+            eigensystem(np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2)))
 
 
 class TestThermalState:
@@ -349,3 +364,96 @@ class TestDimerModel:
     def test_zero_coupling_and_negative_g_are_valid(self):
         model = DimerModel(coupling=0.0, g=-2.0)
         assert (model.coupling, model.g) == (0.0, -2.0)
+
+
+def eigvalsh_rule(rho, name="rho"):
+    """`require_density_matrix` with positivity tested by `eigvalsh` alone,
+    as it was before its Cholesky certificate: the reference the certificate
+    must agree with, decision and message."""
+    rho = require_hermitian(rho, name=name)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    _reject_first((np.abs(trace.real - 1.0) > TRACE_ATOL) | (np.abs(trace.imag) > TRACE_ATOL), name,
+                  "does not have unit trace")
+    _reject_first(np.linalg.eigvalsh(rho).min(axis=-1) < EIGENVALUE_FLOOR, name,
+                  f"has a negative eigenvalue below {EIGENVALUE_FLOOR:g}")
+    return rho
+
+
+def outcome(check, rho):
+    """The error message `check` raises on rho, or None if it passes."""
+    try:
+        check(rho)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Shifts of the smallest eigenvalue to -1e-10 (1 + delta): on both sides of
+# EIGENVALUE_FLOOR, from far (delta = 2, -0.5) to within float resolution.
+FLOOR_DELTAS = (0.5, -0.5, 1e-3, -1e-3, 1e-6, -1e-6, 0.0, 2.0)
+
+
+def near_floor_battery(rng, per_rank):
+    """Ginibre states of rank 1 to 4, each followed by its copies whose
+    smallest eigenvalue is moved to -1e-10 (1 + delta) for each of
+    FLOOR_DELTAS, the trace kept by moving the largest one the other way."""
+    states = []
+    for rank in range(1, 5):
+        g = rng.standard_normal((per_rank, 4, rank)) + 1j * rng.standard_normal((per_rank, 4, rank))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        w, v = np.linalg.eigh(rho)
+        shifted = [rho]
+        for delta in FLOOR_DELTAS:
+            target = EIGENVALUE_FLOOR * (1.0 + delta)
+            moved = w.copy()
+            moved[:, 0] = target
+            moved[:, -1] += w[:, 0] - target
+            shifted.append((v * moved[:, None, :]) @ v.conj().swapaxes(-1, -2))
+        states.append(np.stack(shifted, axis=1).reshape(-1, 4, 4))
+    return np.concatenate(states)
+
+
+class TestValidationCertificate:
+    """`require_density_matrix` certifies positivity by a Cholesky
+    factorization and runs `eigvalsh` only when that fails; on every state
+    it decides, and words its error, as the `eigvalsh` rule does."""
+
+    @pytest.fixture(scope="class")
+    def battery(self):
+        return near_floor_battery(np.random.default_rng(41), 60)
+
+    def test_battery_straddles_the_floor(self, battery):
+        smallest = np.linalg.eigvalsh(battery).min(axis=-1)
+        below = smallest < EIGENVALUE_FLOOR
+        assert 0.3 < below.mean() < 0.7
+        assert np.any(below & (smallest > EIGENVALUE_FLOOR * (1.0 + 1e-5)))
+        assert np.any(~below & (smallest < EIGENVALUE_FLOOR * (1.0 - 1e-5)))
+
+    def test_single_states(self, battery):
+        for rho in battery:
+            assert outcome(require_density_matrix, rho) == outcome(eigvalsh_rule, rho)
+
+    def test_stacks(self, battery):
+        order = np.random.default_rng(42).permutation(len(battery))
+        for size in (1, 3, 16, len(battery)):
+            for first in range(0, len(battery), size):
+                stack = battery[order[first:first + size]]
+                assert outcome(require_density_matrix, stack) == outcome(eigvalsh_rule, stack)
+        clean = battery[np.linalg.eigvalsh(battery).min(axis=-1) > EIGENVALUE_FLOOR * 0.5]
+        clean = clean[:len(clean) // 2 * 2].reshape(-1, 2, 4, 4)
+        assert outcome(require_density_matrix, clean) is None is outcome(eigvalsh_rule, clean)
+
+    def test_names_the_bad_state_first_last_or_alone(self, battery):
+        rho = battery[:9]
+        good, bad = rho[0], rho[FLOOR_DELTAS.index(2.0) + 1]
+        message = "has a negative eigenvalue below -1e-10"
+        for stack, index in (([bad, good, good], 0), ([good, good, bad], 2), ([bad], 0)):
+            assert outcome(require_density_matrix, np.array(stack)) == f"rho[{index}] {message}"
+        assert outcome(require_density_matrix, bad) == f"rho {message}"
+        grid = np.array([good] * 6)
+        grid[5] = bad
+        assert outcome(require_density_matrix, grid.reshape(2, 3, 4, 4)) == f"rho[1, 2] {message}"
+
+    def test_empty_stack_passes(self):
+        assert require_density_matrix(np.zeros((0, 4, 4))).shape == (0, 4, 4)
