@@ -431,19 +431,24 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     rejects removes any rejects file an earlier run left. A `row` field can
     exceed csv's default 131072-character field limit even when every cell
     of the input row fits, so reading the rejects file back may need
-    `csv.field_size_limit` raised. Input that is not UTF-8, or a record the
-    CSV parser cannot read (an over-long cell, say), fails the whole run and
-    leaves the outputs as they were.
+    `csv.field_size_limit` raised. Input that is not UTF-8, that holds a NUL
+    byte, or a record the CSV parser cannot read (an over-long cell, say),
+    fails the whole run and leaves the outputs as they were; so does an
+    output or rejects path that is the input file, before it is read.
 
     The parent reads the input, indexes where its lines start
-    (`_line_starts`), checks it is UTF-8 and checks the header. The lines
-    after it are cut into slices of ROWS_PER_CHUNK lines, each parsed,
-    checked, evaluated and formatted as one `_ordered_map` job, so on more
-    than one CPU in forked workers, and written in order. A slice that
+    (`_line_starts`), checks it is UTF-8 without NUL bytes and checks the
+    header. The lines after it are cut into slices of ROWS_PER_CHUNK lines,
+    each parsed, checked, evaluated and formatted as one `_ordered_map` job,
+    so on more than one CPU in forked workers, and written in order. A slice that
     starts inside a quoted record with a line break is read from the line
     after the record, so the output does not depend on where the cuts fell.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
+    rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
+    for path in (out_path, rejects_path):
+        if path.exists() and os.path.samefile(path, input_path):
+            raise ValueError(f"output {path} is the input file")
     data = input_path.read_bytes()
     starts = _line_starts(data)
     if not data.isascii():
@@ -452,13 +457,15 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
         except UnicodeDecodeError as exc:
             line = np.searchsorted(starts, exc.start, "right")
             raise ValueError(f"line {line} is not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
+    nul = data.find(b"\0")
+    if nul >= 0:  # csv rejects it on some Pythons and reads it as a character on others
+        raise ValueError(f"line {np.searchsorted(starts, nul, 'right')} contains a NUL byte")
     reader = csv.reader(_text_from(data, 0))
     _, first = next(_records(reader), (1, None))
     if first is None or [c.strip() for c in first] != header:
         raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
 
     out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
-    rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
     with _replaced_on_success(out_path) as fh:
         fh.write(out_header)
         accepted, rejected = _write_ingest(fh, data, starts, reader.line_num + 1, mode)

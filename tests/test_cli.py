@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -167,6 +168,10 @@ class TestSweep:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: at least one quantifier must be requested\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_format_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            cli.SweepConfig(0.0, 1.0, 5, ("S",), tmp_path / "x.xml", "xml")
 
     def test_bad_quantifier_and_sample_count(self, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -610,6 +615,41 @@ class TestIngest:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("text, message", [
+        (b"x_rad,S\n1.0,0.5\n2\x00,0.5\n", "line 3 contains a NUL byte"),
+        (b"x_rad,S\x00\n1.0,0.5\n", "line 1 contains a NUL byte"),
+    ])
+    def test_nul_byte_is_refused_naming_its_line(self, tmp_path, monkeypatch, capsys, cpus, text, message):
+        # csv reads a NUL as a character on some Pythons and refuses the line on others.
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        self.write(src, "x_rad,S\n1.0,0.5\n1.0,bad\n")
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src}
+        src.write_bytes(text)
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "ROWS_PER_CHUNK", 1)
+        capsys.readouterr()
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
+
+    @pytest.mark.parametrize("src_name, out_name, refused", [
+        ("a.csv", "a.csv", "a.csv"),
+        ("m.rejects.csv", "m", "m.rejects.csv"),  # no rejects: the run would delete its input
+        ("a.csv", "link.csv", "link.csv"),
+    ])
+    def test_output_that_is_the_input_is_refused(self, tmp_path, capsys, src_name, out_name, refused):
+        src = tmp_path / src_name
+        self.write(src, "x_rad,S\n1.0,0.5\n")
+        if out_name == "link.csv":
+            (tmp_path / out_name).symlink_to(src)
+        before = {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()}
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(tmp_path / out_name)]) == 1
+        assert capsys.readouterr() == ("", f"error: output {tmp_path / refused} is the input file\n")
+        assert {p.name: (p.is_symlink(), p.read_bytes()) for p in tmp_path.iterdir()} == before
+
     def test_vector_phase_equals_scattering_phase_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(5)
         geometry = rng.uniform(-10.0, 10.0, (2000, 9)) * 10.0 ** rng.integers(-3, 4, (2000, 1))
@@ -987,6 +1027,32 @@ class TestVerify:
         names = [c["name"] for c in payload["checks"]]
         assert "trace-norm discord numerical vs closed form" in names
         assert any("violation_without_entanglement" in d for d in payload["discrepancies"])
+
+    def test_each_check_stands_alone(self, verification_report):
+        # Run on freshly built shared inputs in reverse order, each check
+        # observes what it observed in the full suite, bit for bit.
+        shared = verify._shared_inputs()
+        assert len(verify._CHECKS) == len(verification_report.checks)
+        pairs = list(zip(verify._CHECKS, verification_report.checks))
+        for (name, tolerance, metric, observe), check in reversed(pairs):
+            assert (name, tolerance, metric) == (check.name, check.tolerance, check.metric)
+            assert float(observe(shared)).hex() == check.observed.hex(), name
+
+    def test_a_nan_observation_fails_its_check(self, monkeypatch):
+        # The singlet-point check reduces seven deviations; a NaN in the last
+        # one must not be skipped, as Python's max skips it.
+        original = verify.closed_form_vs_oracle
+
+        def nan_discord(x):
+            comparison = original(x)
+            comparison["oracle"]["discord_trace_norm"] = float("nan")
+            return comparison
+
+        monkeypatch.setattr(verify, "closed_form_vs_oracle", nan_discord)
+        report = verify.run_all_checks()
+        assert [(c.name, math.isnan(c.observed)) for c in report.checks if not c.passed] == [
+            ("closed forms vs oracle at the singlet point x = pi", True)
+        ]
 
     def test_interrupted_json_write_keeps_the_old_file(self, tmp_path, monkeypatch, verification_report):
         json_path = tmp_path / "verify.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from spindimer import quantifiers
 from spindimer.quantifiers import (
     QUANTIFIER_FUNCTIONS,
     TSIRELSON_BOUND,
@@ -291,6 +292,27 @@ class TestRootFinding:
     def test_bisection_requires_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
             bisect_root(witness, 0.1, 0.2)
+
+    def test_bisection_returns_an_end_where_f_is_exactly_zero(self):
+        assert bisect_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert bisect_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    def test_bisection_stops_after_its_last_halving(self):
+        # A step never comes within 1e-12 of zero, so every halving runs; the
+        # bracket closes on the sign change at 0.3, and the midpoint of the last
+        # bracket rounds to its lower end, one ulp below.
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < 0.3 else 1.0
+
+        assert bisect_root(step, 0.0, 1.0) == 0.29999999999999993 == np.nextafter(0.3, 0.0)
+        assert len(calls) == 2 + quantifiers._MAX_BISECTIONS
+
+    def test_window_without_two_sign_changes_is_an_error(self):
+        with pytest.raises(RuntimeError, match=r"expected exactly 2 sign changes on \[0, 2pi\], found 0"):
+            quantifiers._window(lambda x: np.cos(x) + 2.0)
 
     def test_scan_returns_a_root_on_a_grid_point(self):
         # The grid is 0, 0.5, ..., 2.0, so f is exactly zero at the grid point 1.0.
