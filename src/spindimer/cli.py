@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
+from .csvfloat import format_csv
 from .quantifiers import (
     QUANTIFIER_FUNCTIONS,
     quantifier_table,
@@ -98,16 +99,6 @@ def _replaced_on_success(path: Path):
         raise
 
 
-def _csv_row(columns: int) -> str:
-    """The row template of a CSV table of `columns` %.17g values."""
-    return ",".join(["%.17g"] * columns) + "\n"
-
-
-def _format_rows(chunk: np.ndarray, row: str, separator: str) -> str:
-    """A 2-D float block as text: `row` % each row's values, joined by `separator`."""
-    return separator.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-
-
 def _map_worker(job, indices: range, conn) -> None:
     """Send job(i) for each i over `conn`, or the exception that stopped it."""
     try:
@@ -174,7 +165,7 @@ def run_sweep(config: SweepConfig) -> None:
     xs = np.linspace(config.x_from, config.x_to, config.samples)
     names = ["x", *config.quantifiers]
     if config.fmt == "csv":
-        head, row, separator, tail = ",".join(names) + "\n", _csv_row(len(names)), "", ""
+        head, separator, tail = ",".join(names) + "\n", "", ""
     else:
         # The bytes of json.dumps(rows, indent=2) + "\n" for one dict per row:
         # %r is float.__repr__, which is what json's encoder prints, and every
@@ -186,7 +177,10 @@ def run_sweep(config: SweepConfig) -> None:
     def job(i: int) -> str:
         chunk = xs[i * ROWS_PER_CHUNK:(i + 1) * ROWS_PER_CHUNK]
         columns = [QUANTIFIER_FUNCTIONS[name](chunk) for name in config.quantifiers]
-        return _format_rows(np.column_stack([chunk, *columns]), row, separator)
+        table = np.column_stack([chunk, *columns])
+        if config.fmt == "csv":
+            return format_csv(table)
+        return separator.join([row] * len(table)) % tuple(table.ravel().tolist())
 
     def write(i: int, text: str) -> None:
         if i:
@@ -371,7 +365,7 @@ def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> 
     derived = quantifier_table(x[ok], s[ok])
     echoed = [table[ok]] + ([x[ok]] if mode == "vector" else [])
     output = np.column_stack(echoed + list(derived.values()))
-    return _format_rows(output, _csv_row(output.shape[1]), ""), rejected, len(output), end
+    return format_csv(output), rejected, len(output), end
 
 
 def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) -> tuple[int, list]:

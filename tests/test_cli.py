@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import hypothesis.strategies as st
 from spindimer import cli, quantifiers, verify
 from spindimer.cli import main
 from spindimer.quantifiers import QUANTIFIER_FUNCTIONS
-from spindimer.scattering import scattering_phase
+from spindimer.scattering import scattering_phase, scattering_phases
 
 TWO_PI = 2.0 * np.pi
 # Golden outputs written by the row-at-a-time implementation this CSV path replaced.
@@ -775,14 +776,14 @@ class TestParallelWriter:
         self.write_ingest_input(src)
         use_cpus(monkeypatch, 2)
         parent = os.getpid()
-        format_rows = cli._format_rows
+        format_csv = cli.format_csv
 
-        def fail_in_a_worker(chunk, row, separator):
+        def fail_in_a_worker(chunk):
             if os.getpid() != parent:
                 raise error("interrupted")
-            return format_rows(chunk, row, separator)
+            return format_csv(chunk)
 
-        monkeypatch.setattr(cli, "_format_rows", fail_in_a_worker)
+        monkeypatch.setattr(cli, "format_csv", fail_in_a_worker)
         if error is OSError:
             assert main(argv) == 2
         else:
@@ -798,15 +799,15 @@ class TestParallelWriter:
         out = tmp_path / "s.csv"
         use_cpus(monkeypatch, 2)
         parent = os.getpid()
-        format_rows = cli._format_rows
+        format_csv = cli.format_csv
 
-        def die_in_the_last_worker(chunk, row, separator):
+        def die_in_the_last_worker(chunk):
             # Worker 1 of 2 formats chunk 1, the first that does not start at x = 0.
             if os.getpid() != parent and chunk[0, 0] != 0.0:
                 os._exit(3)
-            return format_rows(chunk, row, separator)
+            return format_csv(chunk)
 
-        monkeypatch.setattr(cli, "_format_rows", die_in_the_last_worker)
+        monkeypatch.setattr(cli, "format_csv", die_in_the_last_worker)
         with pytest.raises(RuntimeError, match="^worker 1 exited before sending chunk 1$"):
             main(["sweep", "--samples", "5000", "--out", str(out)])
         assert list(tmp_path.iterdir()) == []
@@ -1008,6 +1009,70 @@ class TestIngestSlices:
         assert forks == []
 
 
+def percent_17g(table):
+    """The rows of a float table as CSV text, each value through "%.17g" on its own."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(table).tolist())
+
+
+class TestCsvValues:
+    """Sweep and ingest CSV bytes against "%.17g" value by value, for values
+    the CSV kernel leaves to Python (exponent form, subnormal, 1e300) next to
+    signed zeros, at 1, 2 and 3 CPUs."""
+
+    @pytest.mark.parametrize("bounds, x_from, x_to", [
+        (["--from=-1e18", "--to", "1e18"], -1e18, 1e18),
+        (["--from", "0", "--to", "1e-6"], 0.0, 1e-6),
+    ])
+    def test_sweep(self, tmp_path, monkeypatch, forks, bounds, x_from, x_to):
+        samples = 5000
+        xs = np.linspace(x_from, x_to, samples)
+        table = np.column_stack([xs] + [f(xs) for f in QUANTIFIER_FUNCTIONS.values()])
+        expected = (",".join(["x", *QUANTIFIER_FUNCTIONS]) + "\n" + percent_17g(table)).encode("utf-8")
+        assert re.search(rb"e[+-]\d\d", expected)
+        out = tmp_path / "s.csv"
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert main(["sweep", *bounds, "--samples", str(samples), "--out", str(out)]) == 0
+            assert len(forks) == (cpus if cpus > 1 else 0)
+            assert out.read_bytes() == expected, cpus
+
+    @pytest.mark.parametrize("mode", ["scalar", "vector"])
+    def test_ingest(self, tmp_path, monkeypatch, forks, mode):
+        # Slices of two lines: lines 6 and 7 are one slice, all of it rejected.
+        extremes = [-0.0, 5e-324, 1e-7, 1e300]
+        if mode == "scalar":
+            header = cli.SCALAR_HEADER
+            rows = [[x, s] for x in extremes for s in (-0.0, 5e-324, 1e-7)]
+        else:
+            header = cli.VECTOR_HEADER
+            rows = [[q, 0.0, -0.0, r, -0.0, 5e-324, 1e-7, 0.0, 0.0, s]
+                    for q, r in ((1e300, 1e-7), (-0.0, 1e300), (5e-324, 1e-7), (1e-7, -0.0)) for s in (-0.0, 1e-7)]
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+        lines[5:5] = ["abc," * (len(header) - 1) + "0.5", ",".join(["1.0"] * (len(header) - 1) + ["7"])]
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        table = np.array(rows)
+        x = table[:, 0] if mode == "scalar" else scattering_phases(table[:, 0:3], table[:, 3:6], table[:, 6:9])
+        echoed = [table] + ([x] if mode == "vector" else [])
+        output = np.column_stack(echoed + list(quantifiers.quantifier_table(x, table[:, -1]).values()))
+        out_header = [*header, *(["x_rad"] if mode == "vector" else []), *cli.QUANTIFIER_NAMES[1:]]
+        expected = (",".join(out_header) + "\n" + percent_17g(output)).encode("utf-8")
+        for cell in (b"-0,", b"4.9406564584124654e-324", b"9.9999999999999995e-08", b"1e+300"):
+            assert cell in expected
+        monkeypatch.setattr(cli, "ROWS_PER_CHUNK", 2)
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            forks.clear()
+            out = tmp_path / f"out_{cpus}.csv"
+            assert main(["ingest", "--input", str(src), "--mode", mode, "--out", str(out)]) == 0
+            assert len(forks) == (cpus if cpus > 1 else 0)
+            assert out.read_bytes() == expected, cpus
+            rejects = read_rejects(out.with_name(out.name + ".rejects.csv"))
+            assert [row[0] for row in rejects[1:]] == ["6", "7"]
+
+
 class TestVerify:
     def test_summary_matches_golden_json(self, verification_report):
         # Every check's observation and every discrepancy number, as `verify --json` writes them.
@@ -1037,6 +1102,67 @@ class TestVerify:
         for (name, tolerance, metric, observe), check in reversed(pairs):
             assert (name, tolerance, metric) == (check.name, check.tolerance, check.metric)
             assert float(observe(shared)).hex() == check.observed.hex(), name
+
+    def test_each_random_check_draws_from_a_generator_of_its_own(self, monkeypatch):
+        # Every generator made while the suite runs records, for each draw,
+        # the step it was made in, the step it draws in and a digest of what
+        # it drew. A check that drew from a generator made at import, or by
+        # another step or an earlier run, would draw what a previous run
+        # left, which the check's rounding-level observation cannot show.
+        default_rng, step, made, draws = np.random.default_rng, ["import"], [], []
+
+        class Recorded:
+            def __init__(self, seed):
+                self.generator, self.step = default_rng(seed), step[-1]
+                made.append((self.step, seed))
+
+            def __getattr__(self, name):
+                method = getattr(self.generator, name)
+
+                def draw(*args, **kwargs):
+                    result = method(*args, **kwargs)
+                    digest = hashlib.sha256(np.ascontiguousarray(result).tobytes()).hexdigest()
+                    draws.append((self.step, step[-1], name, digest))
+                    return result
+
+                return draw
+
+        def in_step(name, function):
+            def run(*args):
+                step.append(name)
+                try:
+                    return function(*args)
+                finally:
+                    step.pop()
+
+            return run
+
+        monkeypatch.setattr(np.random, "default_rng", Recorded)
+        monkeypatch.setattr(verify, "_shared_inputs", in_step("shared inputs", verify._shared_inputs))
+        monkeypatch.setattr(verify, "_discrepancy_table", in_step("discrepancy table", verify._discrepancy_table))
+        monkeypatch.setattr(verify, "_CHECKS", tuple(
+            (name, tolerance, metric, in_step(name, observe)) for name, tolerance, metric, observe in verify._CHECKS
+        ))
+        runs = []
+        for _ in range(2):
+            verify.run_all_checks()
+            runs.append((made[:], draws[:]))
+            made.clear()
+            draws.clear()
+
+        seeds = {
+            "shared inputs": 303,
+            "exclusive vs scalar structure factor": 101,
+            "susceptibility pipeline reproduces witness": 202,
+            "trace-norm discord numerical vs closed form": 404,
+            "CHSH direct angle search vs Horodecki value": 505,
+            "Pauli decompose/reconstruct round trip": 606,
+        }
+        for run_made, run_draws in runs:
+            assert run_made == list(seeds.items())
+            assert all(made_in == drawn_in for made_in, drawn_in, _, _ in run_draws)
+            assert {drawn_in for _, drawn_in, _, _ in run_draws} == set(seeds)
+        assert runs[0][1] == runs[1][1]
 
     def test_a_nan_observation_fails_its_check(self, monkeypatch):
         # The singlet-point check reduces seven deviations; a NaN in the last
