@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -16,11 +15,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import verify
-from .csvfloat import format_csv
+from .csvfloat import format_csv, parse_csv
 from .quantifiers import (
     QUANTIFIER_FUNCTIONS,
     quantifier_table,
@@ -278,33 +278,9 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _csv_line(cells: list[str]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow(cells)
-    return buffer.getvalue()
-
-
-def _records(reader, first: int = 1):
-    """(file line the record starts on, cells) for each record of a csv.reader
-    whose first line is file line `first`.
-
-    A quoted cell may span lines, so the line comes from `reader.line_num`,
-    not from counting records. A record csv cannot parse is a ValueError.
-    """
-    start = first
-    try:
-        for row in reader:
-            yield start, row
-            start = first + reader.line_num
-    except csv.Error as exc:
-        raise ValueError(f"unreadable CSV record on line {start}: {exc}") from None
-
-
-def _text_from(data: bytes, start: int):
-    """`data` from byte `start` as text, with lines split as csv reads them."""
-    stream = io.BytesIO(data)  # shares the bytes; nothing is copied
-    stream.seek(start)
-    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+# csv writers whose "file" hands each row back: writerow returns the row's text.
+_ROW_TEXT = csv.writer(SimpleNamespace(write=str), lineterminator="")
+_REJECT_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
 def _line_starts(data: bytes) -> np.ndarray:
@@ -321,64 +297,53 @@ def _line_starts(data: bytes) -> np.ndarray:
     return starts[:np.searchsorted(starts, len(data))]  # no line starts at the end of the data
 
 
-def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> tuple[str, list, int, int]:
+def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> tuple[str, str, int, int, int]:
     """Ingest the records that start on file lines first..last, which begin at byte `start`.
 
-    Returns the output rows as CSV text, the rejects as (line, reason,
-    cells) in line order, the number of accepted rows, and the file line the
-    last record ended on. A quoted record that runs past line `last` is read
-    to its end, so that line is then greater than `last`.
+    `csvfloat.parse_csv` reads the records and their values. Returns the
+    output rows as CSV text, the rejects as the CSV text of their
+    line,reason,row lines in line order, the number of rejects, the number
+    of accepted rows, and the file line the last record ended on. A quoted
+    record that runs past line `last` is read to its end, so that line is
+    then greater than `last`.
     """
     width = len(SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER)
-    rejected: list[tuple[int, str, list[str]]] = []
-    parsed_lines: list[int] = []
-    parsed_cells: list[list[str]] = []
-    values: list[float] = []
-    reader = csv.reader(_text_from(data, start))
-    end = first - 1
-    for line_no, row in _records(reader, first):
-        end = first - 1 + reader.line_num
-        if len(row) != width:
-            rejected.append((line_no, f"expected {width} fields, got {len(row)}", row))
-        else:
-            try:
-                values += [float(cell) for cell in row]
-            except ValueError:
-                rejected.append((line_no, "non-numeric field", row))
-            else:
-                parsed_lines.append(line_no)
-                parsed_cells.append(row)
-        if end >= last:
-            break
-
-    table = np.array(values, dtype=float).reshape(-1, width)
+    records = parse_csv(data, start, first, last, width)
+    numeric = np.flatnonzero(records.numeric)
+    table = records.values[numeric]
     s = table[:, -1]
     x = table[:, 0] if mode == "scalar" else scattering_phases(table[:, 0:3], table[:, 3:6], table[:, 6:9])
     phase_ok = np.isfinite(x)
     with np.errstate(invalid="ignore"):
         ok = phase_ok & (s >= 0.0) & (s <= 1.0)
+    reasons = {}
+    for k in np.flatnonzero(~records.numeric).tolist():
+        fields = int(records.fields[k])
+        reasons[k] = f"expected {width} fields, got {fields}" if fields != width else "non-numeric field"
     for k in np.flatnonzero(~ok).tolist():
-        reason = "phase is not finite" if not phase_ok[k] else f"S = {float(s[k]):g} out of range [0, 1]"
-        rejected.append((parsed_lines[k], reason, parsed_cells[k]))
-    rejected.sort()  # by line number, which is unique
+        reasons[int(numeric[k])] = "phase is not finite" if not phase_ok[k] else f"S = {float(s[k]):g} out of range [0, 1]"
+    rejects = "".join([
+        _REJECT_LINE.writerow((int(records.line[k]), reasons[k], _ROW_TEXT.writerow(records.cells(k))))
+        for k in sorted(reasons)
+    ])
 
     derived = quantifier_table(x[ok], s[ok])
     echoed = [table[ok]] + ([x[ok]] if mode == "vector" else [])
     output = np.column_stack(echoed + list(derived.values()))
-    return format_csv(output), rejected, len(output), end
+    return format_csv(output), rejects, len(reasons), len(output), records.end
 
 
-def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) -> tuple[int, list]:
+def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) -> tuple[int, list[str], int]:
     """Ingest file lines first..len(starts) of `data`, line k starting at
     byte starts[k - 1], and write their rows to `fh` in order; returns
-    (accepted count, rejects in line order).
+    (accepted count, the rejects' CSV text in line order, reject count).
 
     Each slice of ROWS_PER_CHUNK lines is one job. If a record ran on to
     line e, a slice that ends by line e is dropped, and of the next slice
     only what is read from line e + 1 on is kept.
     """
     slices = [(a, min(a + ROWS_PER_CHUNK - 1, len(starts))) for a in range(first, len(starts) + 1, ROWS_PER_CHUNK)]
-    accepted, rejected, reached = 0, [], first - 1  # reached: the line the last record read ended on
+    accepted, rejects, rejected, reached = 0, [], 0, first - 1  # reached: the line the last record read ended on
 
     # A job begins on its slice's first line or, if later, on the line after
     # `reached` as it stands in the job's own process, and returns the line
@@ -398,7 +363,7 @@ def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) ->
             return begin, exc
 
     def write(i: int, result) -> None:
-        nonlocal accepted, reached
+        nonlocal accepted, rejected, reached
         last = slices[i][1]
         begin, outcome = result
         if reached >= last:
@@ -407,13 +372,14 @@ def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) ->
             outcome = _ingest_slice(data, starts[reached], reached + 1, last, mode)
         elif isinstance(outcome, ValueError):
             raise outcome
-        text, rejects, count, reached = outcome
+        text, reject_text, reject_count, count, reached = outcome
         fh.write(text)
         accepted += count
-        rejected.extend(rejects)
+        rejects.append(reject_text)
+        rejected += reject_count
 
     _ordered_map(job, len(slices), write)
-    return accepted, rejected
+    return accepted, rejects, rejected
 
 
 def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
@@ -433,10 +399,13 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     The parent reads the input, indexes where its lines start
     (`_line_starts`), checks it is UTF-8 without NUL bytes and checks the
     header. The lines after it are cut into slices of ROWS_PER_CHUNK lines,
-    each parsed, checked, evaluated and formatted as one `_ordered_map` job,
-    so on more than one CPU in forked workers, and written in order. A slice that
-    starts inside a quoted record with a line break is read from the line
-    after the record, so the output does not depend on where the cuts fell.
+    each read (`csvfloat.parse_csv`: quote-free lines by numpy and a decimal
+    kernel, the rest by csv.reader, undecided cells by float()), checked,
+    evaluated and formatted as one `_ordered_map` job, so on more than one
+    CPU in forked workers; a job also encodes its rejects, and the parent
+    only writes the slices' text in order. A slice that starts inside a
+    quoted record with a line break is read from the line after the record,
+    so the output does not depend on where the cuts fell.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
@@ -454,24 +423,22 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     nul = data.find(b"\0")
     if nul >= 0:  # csv rejects it on some Pythons and reads it as a character on others
         raise ValueError(f"line {np.searchsorted(starts, nul, 'right')} contains a NUL byte")
-    reader = csv.reader(_text_from(data, 0))
-    _, first = next(_records(reader), (1, None))
-    if first is None or [c.strip() for c in first] != header:
+    head = parse_csv(data, 0, 1, 1, len(header))
+    if not len(head.line) or [c.strip() for c in head.cells(0)] != header:
         raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
 
     out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
     with _replaced_on_success(out_path) as fh:
         fh.write(out_header)
-        accepted, rejected = _write_ingest(fh, data, starts, reader.line_num + 1, mode)
+        accepted, rejects, rejected = _write_ingest(fh, data, starts, head.end + 1, mode)
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:
-                writer = csv.writer(rejects_fh, lineterminator="\n")
-                writer.writerow(["line", "reason", "row"])
-                writer.writerows((line_no, reason, _csv_line(cells)) for line_no, reason, cells in rejected)
+                rejects_fh.write("line,reason,row\n")
+                rejects_fh.writelines(rejects)
         else:
             rejects_path.unlink(missing_ok=True)
-    return accepted, len(rejected)
+    return accepted, rejected
 
 
 def _cmd_ingest(args) -> int:

@@ -1,6 +1,6 @@
-"""Float blocks as CSV text: the exact bytes of "%.17g", a whole block at once.
+"""CSV text and float blocks, both ways, a block at a time.
 
-`format_csv(block)` returns what
+Writing: `format_csv(block)` returns what
 
     "".join(",".join("%.17g" % v for v in row) + "\\n" for row in block)
 
@@ -26,9 +26,16 @@ sign. Zero prints as "0" or "-0". Every other value (NaN, infinities,
 |v| < 1e-4, |v| >= 1e17, whatever prints in exponent form) is formatted by
 Python with "%-24.17g", at most 24 characters, and dropped into the same
 slots with its padding masked.
+
+Reading: `parse_csv` reads the records of a run of lines as `csv.reader`
+does and the value of each cell as `float()` does; see its docstring.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +53,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-_POW10 = np.array([float(10**k) for k in range(21)])  # each one exact
+_POW10 = np.array([float(10**k) for k in range(23)])  # each one exact
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -92,11 +99,14 @@ _PREFIX = [np.frombuffer(b"0.000"[:1 - d], np.uint8)[None, :] for d in range(-4,
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) with hi = fl(a * 10**k) and hi + lo == a * 10**k exactly."""
-    hi = a * _POW10[k]
+    return _times(a, _POW10[k], _POW10_HIGH[k], _POW10_LOW[k])
+
+
+def _times(a: np.ndarray, p: np.ndarray, p_high: np.ndarray, p_low: np.ndarray):
+    """(hi, lo) with hi = fl(a * p) and hi + lo == a * p exactly, p = p_high + p_low split."""
+    hi = a * p
     a_high, a_low = _split(a)
-    p_high, p_low = _POW10_HIGH[k], _POW10_LOW[k]
-    lo = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
-    return hi, lo
+    return hi, ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
 
 
 def _rounded(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,3 +218,382 @@ def format_csv(block: np.ndarray) -> str:
     return b"".join(
         _format_block(block[i:i + _BLOCK_ROWS]) for i in range(0, len(block), _BLOCK_ROWS)
     ).decode("ascii")
+
+
+# Reading. A field is read from the 24 bytes that end where it ends, as three
+# little-endian words; byte j of that window is byte j - 24 + length of the
+# field, and bytes before the field are masked off.
+_WINDOW = 24
+# Fields per pass: the temporaries stay small enough to be reused, not mapped afresh.
+_BLOCK_FIELDS = 4096
+_U64 = np.uint64
+
+
+def _word_masks(keep: np.ndarray) -> np.ndarray:
+    """(3, rows) words: row i of `keep` (rows x 24 booleans) as a byte mask
+    of the window, word k in row k."""
+    return np.ascontiguousarray(np.where(keep, 0xFF, 0).astype(np.uint8).view("<u8").T)
+
+
+_BYTE = np.arange(_WINDOW)
+_FROM = _word_masks(_BYTE >= np.arange(_WINDOW + 1)[:, None])  # bytes j >= i
+_BELOW = _word_masks(_BYTE < np.arange(_WINDOW)[:, None])  # bytes j < i
+_WORDS = np.array([[0], [8], [16]])  # where the window's words start
+
+
+def _each_byte(byte: int) -> np.uint64:
+    return _U64(int.from_bytes(bytes([byte]) * 8, "little"))
+
+
+_ASCII_ZERO, _LOW7, _TEN_UP, _ONES = (_each_byte(b) for b in (0x30, 0x7F, 0x76, 0x01))
+_DOT = _U64(ord(".") ^ 0x30)
+# f * _AT[k] >> 56 is 8k + b for a word k whose one nonzero byte is 0x01 at byte b.
+_AT = np.array([[sum((7 - j + 8 * k) << (8 * j) for j in range(8))] for k in range(3)], np.uint64)
+_SEVEN, _EIGHT, _FIFTY_SIX = _U64(7), _U64(8), _U64(56)
+_FOLD = [(_U64(10 * 2**8 + 1), _EIGHT, _U64(0x00FF00FF00FF00FF)),
+         (_U64(100 * 2**16 + 1), _U64(16), _U64(0x0000FFFF0000FFFF))]
+_FOLD_LAST, _THIRTY_TWO = _U64(10000 * 2**32 + 1), _U64(32)
+_E8, _E16, _MOST = _U64(10**8), _U64(10**16), _U64(999)
+
+
+def _fold(x: np.ndarray) -> None:
+    """Replace each word of x, whose bytes are digits (0 to 9), by the
+    8-digit number they spell, the byte at the lowest address first
+    (Lemire's SWAR folding)."""
+    for multiplier, shift, mask in _FOLD:
+        x *= multiplier
+        x >>= shift
+        x &= mask
+    x *= _FOLD_LAST
+    x >>= _THIRTY_TWO
+
+
+def _fields(pad: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Read the fields pad[24 + starts[i]:24 + ends[i]] as [-+]?d*[.]?d*.
+
+    Returns (digits, fraction, negative, point, valid): the field's digits
+    as one integer, how many follow the ".", the sign, whether there is a
+    ".", and whether the field fits that grammar in at most 23 bytes with at
+    least one digit and fewer than 20 significant ones. words[i] is the
+    little-endian word pad[i:i + 8].
+    """
+    length = ends - starts
+    first = pad[starts + _WINDOW]
+    negative = first == ord("-")
+    signed = negative | (first == ord("+"))
+    lead = _WINDOW - length + signed  # the window byte after any sign
+    np.maximum(lead, 0, out=lead)
+    np.minimum(lead, _WINDOW, out=lead)
+    x = words[ends + _WORDS]  # word k of each field's window in row k
+    x ^= _ASCII_ZERO
+    x &= _FROM.take(lead, axis=1)
+    # 0x01 on each byte that is not a digit; there may be one, a ".", at
+    # window byte `dot`.
+    other = x & _LOW7
+    other += _TEN_UP
+    other |= x
+    other >>= _SEVEN
+    other &= _ONES
+    count = other * _ONES
+    count >>= _FIFTY_SIX
+    point = count.sum(axis=0)
+    at = other * _AT
+    at >>= _FIFTY_SIX
+    dot = at.sum(axis=0)
+    np.minimum(dot, _U64(_WINDOW - 1), out=dot)
+    dot = dot.astype(np.intp)
+    # Drop the ".": clear it, and move the bytes before it one byte on.
+    other *= _DOT
+    x ^= other
+    high = x & _BELOW.take(dot, axis=1)
+    x ^= high
+    x[1:] |= high[:-1] >> _FIFTY_SIX
+    high <<= _EIGHT
+    x |= high
+    _fold(x)
+    lead_digits = x[0]
+    digits = np.minimum(lead_digits, _MOST) * _E16 + x[1] * _E8 + x[2]
+    valid = (point <= 1) & (lead_digits <= _MOST) & (length < _WINDOW)
+    point = point.astype(bool)
+    valid &= (pad[ends + dot] == ord(".")) | ~point
+    valid &= length - signed - point > 0  # a digit
+    return digits, np.where(point, _WINDOW - 1 - dot, 0), negative, point, valid
+
+
+def _within_half_ulp(value: np.ndarray, r: np.ndarray, error: np.ndarray, scale) -> np.ndarray:
+    """Whether the positive double `value` is the one nearest to value +
+    r / scale, where r is known to within `error`: r stays clear of the half
+    gaps to both neighbours, so an exact tie is never decided."""
+    bits = value.view(np.int64)
+    up = ((bits + 1).view(np.float64) - value) * scale * 0.5
+    down = (value - (bits - 1).view(np.float64)) * scale * 0.5
+    return (r + error < up) & (r - error > -down)
+
+
+def _quotient(high: np.ndarray, low: np.ndarray, k: np.ndarray):
+    """M / 10**k rounded to the nearest double, M = high + low, and whether
+    that is proven."""
+    p = _POW10[k]
+    c = high / p
+    hi, lo = _times(c, p, _POW10_HIGH[k], _POW10_LOW[k])
+    a = high - hi  # exact: hi is within a few units of high (Sterbenz)
+    r = (a + low) - lo  # M - c * p
+    error = (np.abs(a) + np.abs(low) + np.abs(lo)) * 2.0**-50
+    value = c + r / p
+    step = (value - c) * p  # value - c is exact, its product rounded
+    r -= step  # M - value * p
+    error += (np.abs(step) + np.abs(r)) * 2.0**-52
+    return value, _within_half_ulp(value, r, error, p)
+
+
+def _product(high: np.ndarray, low: np.ndarray, k: np.ndarray):
+    """M * 10**k rounded to the nearest double, M = high + low, and whether
+    that is proven."""
+    hi, lo = _scaled(high, k)
+    low_hi, low_lo = _scaled(low, k)
+    r = (lo + low_hi) + low_lo  # M * 10**k - hi
+    error = (np.abs(lo) + np.abs(low_hi) + np.abs(low_lo)) * 2.0**-50
+    value = hi + r
+    r -= value - hi  # M * 10**k - value; value - hi is exact
+    error += np.abs(r) * 2.0**-52
+    return value, _within_half_ulp(value, r, error, 1.0)
+
+
+def _nearest(digits: np.ndarray, q: np.ndarray):
+    """digits * 10**q rounded to the nearest double for |q| <= 22, and
+    whether that rounding is proven.
+
+    digits < 10**19 is high + low, high its nearest double and low an exact
+    small integer. 10**|q| is exact, so the residual of a candidate c,
+    digits - c * 10**|q| or digits * 10**q - c, is a sum of a few doubles
+    each formed exactly (Dekker's product, Sterbenz's lemma), known to
+    within a bound on its rounding. The candidate from one division or
+    product may be an ulp or two off; one correction step c + residual
+    lands on the nearest double unless the value lies within that bound of
+    a half-way point, and the residual of the corrected value proves it.
+    """
+    k = np.minimum(np.abs(q), 22)
+    high = digits.astype(np.float64)
+    low = (digits - high.astype(np.uint64)).view(np.int64).astype(np.float64)
+    below_one = q < 0
+    if below_one.all():
+        value, exact = _quotient(high, low, k)
+    else:
+        value = np.empty(len(q))
+        exact = np.empty(len(q), bool)
+        for rows, nearest in ((below_one, _quotient), (~below_one, _product)):
+            rows = np.flatnonzero(rows)
+            value[rows], exact[rows] = nearest(high[rows], low[rows], k[rows])
+    zero = digits == 0
+    value[zero] = 0.0
+    return value, (exact | zero) & (np.abs(q) <= 22)
+
+
+def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """float(text) for each field buf[starts[i]:ends[i]], where the kernel
+    decides it, and whether it did; the fields are disjoint and in order.
+
+    A decided field is [-+]?d*[.]?d* with an optional exponent [eE][-+]?d+,
+    in at most 23 bytes before the exponent, with at least one and at most
+    19 significant digits, and a value digits * 10**q with |q| <= 22 that
+    `_nearest` rounds provably. "-0" reads as -0.0.
+    """
+    count = len(starts)
+    pad = np.zeros(_WINDOW + len(buf) + 8, np.uint8)
+    pad[_WINDOW:_WINDOW + len(buf)] = buf
+    words = np.ndarray((len(pad) - 7,), "<u8", pad, strides=(1,))
+    mantissa_end = ends.copy()
+    exponent = np.zeros(count, np.int64)
+    valid = np.ones(count, bool)
+    marks = np.flatnonzero((buf | 0x20) == ord("e"))
+    field = np.searchsorted(ends, marks, "right")
+    inside = field < count
+    inside[inside] = starts[field[inside]] <= marks[inside]
+    marks, field = marks[inside], field[inside]
+    if len(field):
+        valid[field[1:][field[1:] == field[:-1]]] = False  # two exponents
+        mantissa_end[field] = marks
+        digits, _, negative, point, ok = _fields(pad, words, marks + 1, ends[field])
+        valid[field] &= ok & ~point & (digits < 10**4)
+        power = np.minimum(digits, 10**4).astype(np.int64)
+        exponent[field] = np.where(negative, -power, power)
+
+    values = np.empty(count)
+    for i in range(0, count, _BLOCK_FIELDS):
+        block = slice(i, i + _BLOCK_FIELDS)
+        digits, fraction, negative, _, ok = _fields(pad, words, starts[block], mantissa_end[block])
+        q = exponent[block] - fraction
+        q[~ok] = -1  # moot for an unreadable cell; keeps a block of fractions on one path
+        value, exact = _nearest(digits, q)
+        values[block] = np.where(negative, -value, value)
+        valid[block] &= ok & exact
+    return values, valid
+
+
+def _text_from(data: bytes, start: int):
+    """`data` from byte `start` as text, with lines split as csv reads them."""
+    stream = io.BytesIO(data)  # shares the bytes; nothing is copied
+    stream.seek(start)
+    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+
+
+def _separators(data: bytes, start: int, lines: int):
+    """The next `lines` lines of `data` from byte `start`, fewer at its end.
+
+    Returns (raw, at, after, ends): their bytes as uint8, the byte of each
+    "," and line end in them, the byte after each (the next cell's or line's
+    first), and which of them end a line. Lines end as csv splits them: at
+    \\n, \\r\\n, a bare \\r, or the end of the data.
+    """
+    # A first guess from the first line's length, doubled while lines are missing.
+    line_end = [i for i in (data.find(b"\n", start, start + 4096), data.find(b"\r", start, start + 4096)) if i >= 0]
+    size = min((min(line_end, default=start + 4096) - start + 2) * (lines + lines // 4) + 256, 1 << 22)
+    while True:
+        stop = min(len(data), start + size)
+        raw = np.frombuffer(data, np.uint8, stop - start, start)
+        at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")) | (raw == ord("\r")))
+        kind = raw[at]
+        # A \r\n ends one line, after its \n: keep the \r, drop the \n.
+        crlf = np.zeros(len(at), bool)
+        crlf[:-1] = (kind[:-1] == ord("\r")) & (kind[1:] == ord("\n")) & (at[1:] == at[:-1] + 1)
+        keep = np.ones(len(at), bool)
+        keep[1:] = ~crlf[:-1]
+        if stop < len(data):
+            keep &= at < len(raw) - 1  # a \r there may be half of a \r\n
+        at, kind, crlf = at[keep], kind[keep], crlf[keep]
+        ends = kind != ord(",")
+        found = np.flatnonzero(ends)
+        if len(found) >= lines or stop == len(data):
+            break
+        size *= 2
+    if len(found) >= lines:
+        cut = found[lines - 1] + 1
+        at, crlf, ends = at[:cut], crlf[:cut], ends[:cut]
+    elif (at[found[-1]] + 1 + crlf[found[-1]] if len(found) else 0) < len(raw):
+        # The data ends inside a line: that end ends it.
+        at, crlf, ends = np.append(at, len(raw)), np.append(crlf, False), np.append(ends, True)
+    after = at + 1 + crlf
+    return raw[:after[-1] if len(after) else 0], at, after, ends
+
+
+class CsvRecords(NamedTuple):
+    """The records of a run of lines, in order, as `parse_csv` reads them."""
+
+    line: np.ndarray  # the file line each starts on
+    fields: np.ndarray  # how many cells it has
+    values: np.ndarray  # (records, width): float() of its cells, where `numeric`
+    numeric: np.ndarray  # whether it has `width` cells and float() reads each one
+    end: int  # the file line the last record ended on
+    cells: Callable[[int], list[str]]  # record i's cells, as csv reads them
+
+
+def parse_csv(data: bytes, start: int, first: int, last: int, width: int) -> CsvRecords:
+    """The records that start on file lines first..last of `data`, which
+    begin at byte `start` on a record; what csv.reader and float() make of
+    them.
+
+    A line without a '"' byte, no longer than csv.field_size_limit(), is one
+    record whose cells lie between its commas; numpy finds those lines and
+    commas in the bytes, and csv reads them so too (an empty line is a
+    record of no cells). Any other line is read by csv.reader from the line
+    it starts on, one record at a time, one reader for as long as records
+    start on such lines; such a record may take the lines after it, past
+    `last` too, and the next record starts on the line after it. So every
+    record starts where csv, reading from `start`, starts one. A record csv
+    cannot parse is a ValueError naming its line.
+
+    The cells of each record with `width` cells are read by `_decimals`;
+    each cell it does not decide goes to float(), and a ValueError there
+    marks the record not `numeric`. A decided cell is one the kernel proves
+    equal to float(cell), bit for bit: it is [-+]?digits[.digits] (or .5,
+    5.), with an optional exponent [eE][-+]?digits, its at most 19
+    significant digits are an exact uint64 M and its value is M * 10**q
+    with |q| <= 22, so 10**|q| is an exact double. A first quotient or
+    product is corrected by one step, and accepted only where an exact
+    residual (Dekker's product, Sterbenz's lemma), known to within a bound
+    on its own rounding, puts the value strictly inside the half gaps
+    around the result; so a value within that bound of a half-way point,
+    or an exact tie such as 9007199254740993, is left to float(), as are
+    spaces, "_", nan, inf, other digits than ASCII, longer digit strings
+    and larger exponents. "-0" reads as -0.0.
+    """
+    raw, at, after, ends = _separators(data, start, last - first + 1)
+    line_end = after[ends]  # the byte each line's successor starts at
+    line_start = np.concatenate(([0], line_end))[:-1]
+    content_end = at[ends]  # the byte of each line's terminator
+    lines = len(line_end)
+    field_line = np.cumsum(ends) - ends  # the line of each cell
+    fields = np.diff(np.flatnonzero(ends), prepend=-1)
+    fields[content_end == line_start] = 0
+    special = content_end - line_start > csv.field_size_limit()
+    special[np.searchsorted(line_end, np.flatnonzero(raw == ord('"')), "right")] = True
+
+    # csv reads the records that start on special lines, each taking its line
+    # and maybe more: one reader from the first line of a run of them, on
+    # while the next record starts on a special line.
+    special_line = special.tolist()
+    read: dict[int, list[str]] = {}
+    covered = np.zeros(lines + 1, np.intp)  # +1 where a run of csv records starts, -1 after it
+    end = first + lines - 1
+    i = 0
+    for run in np.flatnonzero(special).tolist():
+        if run < i:  # inside a record already read
+            continue
+        i = run
+        reader = csv.reader(_text_from(data, start + int(line_start[run])))
+        while i < lines and special_line[i]:
+            try:
+                read[i] = next(reader)
+            except csv.Error as exc:
+                raise ValueError(f"unreadable CSV record on line {first + i}: {exc}") from None
+            i = run + reader.line_num
+        covered[run] += 1
+        covered[min(i, lines)] -= 1
+        if i >= lines:
+            end = first + i - 1
+            break
+    plain = np.cumsum(covered[:lines]) == 0
+    fields[list(read)] = [len(row) for row in read.values()]
+
+    values = np.zeros((lines, width))
+    numeric = np.zeros(lines, bool)
+    rows = plain & (fields == width)
+    if rows.any():
+        cells = rows[field_line]
+        cell_start = np.concatenate(([0], after))[:-1][cells]
+        cell_end = at[cells]
+        got, readable = _decimals(raw, cell_start, cell_end)
+        left = np.flatnonzero(~readable)
+        read_by_float = {}
+        for c, begin, stop in zip(left.tolist(), (start + cell_start[left]).tolist(), (start + cell_end[left]).tolist()):
+            try:
+                read_by_float[c] = float(data[begin:stop].decode("utf-8"))
+            except ValueError:
+                continue
+        got[list(read_by_float)] = list(read_by_float.values())
+        readable[list(read_by_float)] = True
+        values[rows] = got.reshape(-1, width)
+        numeric[rows] = readable.reshape(-1, width).all(axis=1)
+    parsed, floats = [], []
+    for i, row in read.items():
+        if len(row) == width:
+            try:
+                floats += [float(cell) for cell in row]
+            except ValueError:
+                continue
+            parsed.append(i)
+    values[parsed] = np.reshape(floats, (-1, width))
+    numeric[parsed] = True
+
+    starts_record = plain
+    starts_record[list(read)] = True
+    records = np.flatnonzero(starts_record)
+
+    def cells_of(r: int) -> list[str]:
+        i = int(records[r])
+        if i in read:
+            return read[i]
+        text = data[start + line_start[i]:start + content_end[i]].decode("utf-8")
+        return text.split(",") if fields[i] else []
+
+    return CsvRecords(first + records, fields[records], values[records], numeric[records], end, cells_of)

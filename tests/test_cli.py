@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from spindimer import cli, quantifiers, verify
+from spindimer import cli, csvfloat, quantifiers, verify
 from spindimer.cli import main
 from spindimer.quantifiers import QUANTIFIER_FUNCTIONS
 from spindimer.scattering import scattering_phase, scattering_phases
@@ -1007,6 +1007,150 @@ class TestIngestSlices:
         assert self.ingest(monkeypatch, src, cpus, 1) == (0, header.encode(), None)
         assert capsys.readouterr().out == "accepted 0 rows, rejected 0 rows\n"
         assert forks == []
+
+
+def reference_slice(data, start, first, last, mode):
+    """What cli._ingest_slice returns for a slice, computed as ingest read
+    slices before its reading kernel: csv.reader over the text from byte
+    `start`, float() on every cell, and each reject's cells CSV-encoded on
+    their own."""
+    width = len(cli.SCALAR_HEADER if mode == "scalar" else cli.VECTOR_HEADER)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data[start:]), encoding="utf-8", newline=""))
+    rejected, parsed_lines, parsed_cells, values = [], [], [], []
+    end = line_no = first
+    try:
+        for row in reader:
+            end = first - 1 + reader.line_num
+            if len(row) != width:
+                rejected.append((line_no, f"expected {width} fields, got {len(row)}", row))
+            else:
+                try:
+                    values += [float(cell) for cell in row]
+                except ValueError:
+                    rejected.append((line_no, "non-numeric field", row))
+                else:
+                    parsed_lines.append(line_no)
+                    parsed_cells.append(row)
+            if end >= last:
+                break
+            line_no = end + 1
+    except csv.Error as exc:
+        raise ValueError(f"unreadable CSV record on line {line_no}: {exc}") from None
+
+    table = np.array(values, dtype=float).reshape(-1, width)
+    s = table[:, -1]
+    x = table[:, 0] if mode == "scalar" else scattering_phases(table[:, 0:3], table[:, 3:6], table[:, 6:9])
+    phase_ok = np.isfinite(x)
+    with np.errstate(invalid="ignore"):
+        ok = phase_ok & (s >= 0.0) & (s <= 1.0)
+    for k in np.flatnonzero(~ok).tolist():
+        reason = "phase is not finite" if not phase_ok[k] else f"S = {float(s[k]):g} out of range [0, 1]"
+        rejected.append((parsed_lines[k], reason, parsed_cells[k]))
+    rejected.sort()
+    rejects = io.StringIO()
+    for line, reason, cells in rejected:
+        row = io.StringIO()
+        csv.writer(row, lineterminator="").writerow(cells)
+        csv.writer(rejects, lineterminator="\n").writerow((line, reason, row.getvalue()))
+    derived = quantifiers.quantifier_table(x[ok], s[ok])
+    output = np.column_stack([table[ok]] + ([x[ok]] if mode == "vector" else []) + list(derived.values()))
+    return percent_17g(output), rejects.getvalue(), len(rejected), len(output), end
+
+
+def slice_outcome(reader, data, start, first, last, mode):
+    """reader(...)'s result, or its ValueError's message."""
+    try:
+        return reader(data, start, first, last, mode)
+    except ValueError as exc:
+        return str(exc)
+
+
+NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(-20.0, 20.0).map(repr),
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "-0", "0.0", ".5", "5.", "1e5", "1E-5",
+                     "9007199254740993", "", "n/a", " 1", "1 ", "1_0", "\u0661", "-.", "0x1p3", "1.5e"]),
+)
+QUOTED_CELLS = st.text(alphabet='0.5,"\n\r', max_size=6).map(lambda t: '"' + t.replace('"', '""') + '"')
+
+
+@st.composite
+def csv_slices(draw):
+    """(data, start, first, last, mode): mixed CSV lines, and a run of them
+    that begins on a record."""
+    mode = draw(st.sampled_from(["scalar", "vector"]))
+    width = 2 if mode == "scalar" else 10
+    s_cell = st.floats(0.0, 1.0).map(repr)
+    accepted = st.tuples(st.lists(NUMERIC_CELLS, min_size=width - 1, max_size=width - 1), s_cell).map(
+        lambda row: row[0] + [row[1]])
+    any_cells = st.lists(st.one_of(NUMERIC_CELLS, QUOTED_CELLS), max_size=width + 2)
+    counts = st.sampled_from([0, 1, 3, width - 1, width + 1]).flatmap(
+        lambda n: st.lists(NUMERIC_CELLS, min_size=n, max_size=n))
+    rows = draw(st.lists(st.one_of(accepted, accepted, any_cells, counts), min_size=1, max_size=12))
+    text = "".join(",".join(row) + draw(st.sampled_from(["\n", "\r\n", "\r"])) for row in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # an unterminated last line
+    data = text.encode("utf-8")
+    lines = len(cli._line_starts(data))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    record_starts, line = [], 1
+    for _ in reader:
+        record_starts.append(line)
+        line = reader.line_num + 1
+    assume(record_starts)
+    first = draw(st.sampled_from(record_starts))
+    last = draw(st.integers(first, lines))
+    return data, int(cli._line_starts(data)[first - 1]), first, last, mode
+
+
+class TestSliceReader:
+    """cli._ingest_slice reads quote-free lines with numpy and csvfloat's
+    decimal kernel; every slice must come out as csv.reader and float()
+    read it, the whole returned tuple equal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_slices())
+    def test_mixed_slices_read_as_csv_and_float_read_them(self, case):
+        assert slice_outcome(cli._ingest_slice, *case) == slice_outcome(reference_slice, *case)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_a_record_across_the_last_line(self, ending):
+        data = ending.join(["0.5,0.5", '"1.0', '",0.25', "abc,0.5", "0.75,1"]).encode()
+        want = reference_slice(data, 0, 1, 2, "scalar")
+        assert cli._ingest_slice(data, 0, 1, 2, "scalar") == want
+        assert want[1:] == ("", 0, 2, 3)  # the quoted record, lines 2-3, runs past line 2
+
+    def test_an_over_long_quote_free_cell(self):
+        data = b"0.5,0.5\n0." + b"2" * 200_000 + b",0.5\n3.0,0.5\n"
+        with pytest.raises(ValueError, match=r"^unreadable CSV record on line 2: field larger than field limit"):
+            cli._ingest_slice(data, 0, 1, 3, "scalar")
+        limit = csv.field_size_limit(300_000)
+        try:
+            got = cli._ingest_slice(data, 0, 1, 3, "scalar")
+            assert got == reference_slice(data, 0, 1, 3, "scalar")
+        finally:
+            csv.field_size_limit(limit)
+        assert got[1:] == ("", 0, 3, 3) and got[0].splitlines()[1].startswith("0.22222222222222221,0.5,")
+
+    def test_bench_like_cells_go_through_the_kernel(self, monkeypatch):
+        # Nearly every cell of repr-written rows is decided without float().
+        rng = np.random.default_rng(26)
+        table = np.column_stack([rng.uniform(-3.0, 3.0, (2048, 9)), rng.uniform(0.0, 1.0, 2048)])
+        rows = [",".join(map(repr, row)) for row in table.tolist()]
+        data = ("\n".join(rows) + "\n").encode()
+        calls = []
+        decimals = csvfloat._decimals
+
+        def count_undecided(*args):
+            values, decided = decimals(*args)
+            calls.append(int(np.count_nonzero(~decided)))
+            return values, decided
+
+        monkeypatch.setattr(csvfloat, "_decimals", count_undecided)
+        assert cli._ingest_slice(data, 0, 1, 2048, "vector")[3] == 2048
+        assert len(calls) == 1 and calls[0] <= 0.01 * 2048 * 10
 
 
 def percent_17g(table):

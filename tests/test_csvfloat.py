@@ -1,8 +1,9 @@
-"""The CSV float kernel against Python's own "%.17g", value by value.
+"""The CSV float kernels against Python's own "%.17g" and float(), value by value.
 
 The batteries are functions so that a longer run can reuse them:
 
     PYTHONPATH=src:tests python -c 'import test_csvfloat as t; t.run_batteries(10**7)'
+    PYTHONPATH=src:tests python -c 'import test_csvfloat as t; t.run_parser_batteries(10**7)'
 """
 
 import time
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from spindimer.csvfloat import format_csv
+from spindimer.csvfloat import _decimals, format_csv, parse_csv
 
 
 def reference(block) -> str:
@@ -131,3 +132,175 @@ def test_block_shapes(rows, columns):
        st.integers(1, 4))
 def test_any_float(values, columns):
     assert_prints_like_python(values[:len(values) - len(values) % columns], columns)
+
+
+# The reading kernel (csvfloat._decimals) against float(), cell by cell.
+
+def read_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's (values, decided) for `texts`, laid out as the cells of
+    one comma-separated line."""
+    encoded = [text.encode("utf-8") for text in texts]
+    lengths = np.array([len(text) for text in encoded], dtype=np.intp)
+    ends = np.cumsum(lengths + 1) - 1
+    buf = np.frombuffer(b",".join(encoded) + b"\n", np.uint8)
+    return _decimals(buf, ends - lengths, ends)
+
+
+def float_or_none(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def read_mismatches(texts: list[str]) -> tuple[int, list[tuple[str, float, object]]]:
+    """(cells decided, [(cell, kernel value, float(cell) or None)] for each
+    decided cell whose value is not float()'s bit for bit)."""
+    values, decided = read_cells(texts)
+    wrong = []
+    for i in np.flatnonzero(decided).tolist():
+        want = float_or_none(texts[i])
+        if want is None or np.float64(want).view(np.int64) != values[i:i + 1].view(np.int64)[0]:
+            wrong.append((texts[i], float(values[i]), want))
+    return int(np.count_nonzero(decided)), wrong
+
+
+def assert_reads_like_float(texts):
+    _, wrong = read_mismatches(list(texts))
+    assert not wrong, f"{len(wrong)} cells differ; first (cell, kernel, float()): {wrong[0]!r}"
+
+
+def printed(values: np.ndarray) -> list[str]:
+    """Each value as repr() and as "%.17g" print it."""
+    values = values.tolist()
+    return [repr(v) for v in values] + ["%.17g" % v for v in values]
+
+
+def digit_strings(count: int, seed: int = 26) -> list[str]:
+    """Decimal strings of 1 to 25 significant digits, some with leading
+    zeros, a leading or trailing ".", a sign, and exponents -30 to 30."""
+    rng = np.random.default_rng(seed)
+    rows = (rng.integers(0, 10, (count, 25)) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    sizes = rng.integers(1, 26, count).tolist()
+    zeros = (rng.integers(0, 4, count) * (rng.random(count) < 0.3)).tolist()
+    cuts = rng.random(count).tolist()
+    points = (rng.random(count) < 0.8).tolist()
+    exponents = np.where(rng.random(count) < 0.5, np.char.add(np.char.add(
+        rng.choice(["e", "E"], count), rng.choice(["", "+", "-"], count)), rng.integers(0, 31, count).astype(str)), "")
+    signs = np.where(rng.random(count) < 0.3, rng.choice(["-", "+"], count), "").tolist()
+    texts = []
+    for i, exponent in enumerate(exponents.tolist()):
+        digits = "0" * zeros[i] + rows[25 * i:25 * i + sizes[i]]
+        cut = int(cuts[i] * (len(digits) + 1))
+        texts.append(signs[i] + (digits[:cut] + "." + digits[cut:] if points[i] else digits) + exponent)
+    return texts
+
+
+def half_way_integers(count: int = 20000, seed: int = 26) -> list[str]:
+    """Odd integers in (2**53, 2**54): each lies exactly half way between two doubles."""
+    m = np.random.default_rng(seed).integers(2**52, 2**53, count) * 2 + 1
+    return [str(v) for v in m.tolist()]
+
+
+def near_powers_of_ten() -> list[str]:
+    """10**k for |k| <= 30 as printed, and the decimals just around it:
+    its neighbouring doubles and 17-digit strings a unit away."""
+    texts = []
+    for k in range(-30, 31):
+        p = float(f"1e{k}")
+        texts += printed(np.array([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]))
+        texts += [f"1.0000000000000001e{k}", f"9.9999999999999999e{k - 1}", f"0.99999999999999994e{k}",
+                  f"1.00000000000000011e{k}"]
+    return texts
+
+
+def run_parser_batteries(patterns: int) -> None:
+    """repr() and "%.17g" of `patterns` random bit patterns and every
+    structured battery below through the reading kernel, against float();
+    prints the count and the time and exits 1 on a mismatch."""
+    start = time.perf_counter()
+    batteries = [printed(bit_patterns(min(100_000, patterns - i), seed=26 + i))
+                 for i in range(0, patterns, 100_000)]
+    batteries += [digit_strings(100_000), half_way_integers(), near_powers_of_ten(),
+                  [f"{m}e{e}" for m in half_way_integers(2000) for e in range(-22, 23)]]
+    count, decided, wrong = 0, 0, []
+    for texts in batteries:
+        got, bad = read_mismatches(texts)
+        count, decided, wrong = count + len(texts), decided + got, wrong + bad
+    print(f"{count} cells, {decided} decided by the kernel, {len(wrong)} differ from float(), "
+          f"{time.perf_counter() - start:.1f} s")
+    for cell in wrong[:5]:
+        print(f"  cell {cell[0]!r}  kernel {cell[1]!r}  float() {cell[2]!r}")
+    raise SystemExit(1 if wrong else 0)
+
+
+def test_read_repr_and_17g_of_random_bit_patterns():
+    assert_reads_like_float(printed(bit_patterns(100_000, seed=26)))
+
+
+def test_read_random_digit_strings():
+    texts = digit_strings(100_000)
+    decided, wrong = read_mismatches(texts)
+    assert not wrong, wrong[:3]
+    assert decided > 40_000  # the rest have over 19 significant digits or |q| > 22
+
+
+def test_exact_half_way_integers_are_left_to_float():
+    texts = half_way_integers()
+    assert all(int(t) % 2 == 1 and 2**53 < int(t) < 2**54 for t in texts)
+    values, decided = read_cells(texts)
+    assert not decided.any()
+    assert read_cells(["9007199254740993", "9007199254740992", "9007199254740994"])[1].tolist() == [False, True, True]
+
+
+def test_half_way_integers_scaled_by_powers_of_ten():
+    texts = [f"{m}e{e}" for m in half_way_integers(2000) for e in range(-22, 23)]
+    decided, wrong = read_mismatches(texts)
+    assert not wrong, wrong[:3]
+    assert decided > 0.9 * len(texts)
+
+
+def test_near_powers_of_ten():
+    assert_reads_like_float(near_powers_of_ten())
+
+
+def test_signs_zeros_and_bare_points():
+    texts = ["-0", "0", "+0", "-0.0", "0e5", "-0e-5", ".5", "5.", "+.5", "-5.", "1e5", "1E+05", "1e-5",
+             "-.", "+.", ".", "", "-", "+", "e5", ".e1", "1e", "1e+", "1.5e", "--1", "1..2", "1.2.3",
+             "1e5e5", "1e5.0", "1e1.0", "2e.5", "3E+0.", "0x1p3", "1_0", " 1", "1 ", "\t1", "١٢", "nan", "-inf", "1e999", "1e-999"]
+    values, decided = read_cells(texts)
+    assert_reads_like_float(texts)
+    assert decided[:13].all() and not decided[13:].any()
+    assert np.signbit(values[[0, 3, 5]]).all() and not np.signbit(values[[1, 2, 4]]).any()
+
+
+def test_cells_left_to_float_read_as_float_reads_them():
+    texts = ["\u0661\u0662", "1_0", " 1 ", "\t-2.5", "nan", "-inf", "1e999", "9007199254740993", "1" * 30]
+    assert not read_cells(texts)[1].any()
+    records = parse_csv(",".join(texts).encode("utf-8") + b"\n", 0, 1, 1, len(texts))
+    assert records.numeric.tolist() == [True]
+    want = np.array([float(t) for t in texts])
+    assert np.array_equal(records.values[0].view(np.int64), want.view(np.int64))
+
+
+def test_the_kernel_decides_positional_repr_cells():
+    # Every decade that repr prints in positional notation, as the ingest inputs are written.
+    rng = np.random.default_rng(26)
+    values = rng.choice([-1.0, 1.0], 100_000) * rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-4, 16, 100_000)
+    texts = [repr(v) for v in values.tolist()]
+    assert not any("e" in t for t in texts)
+    decided, wrong = read_mismatches(texts)
+    assert not wrong, wrong[:3]
+    assert decided >= 0.99 * len(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789.-+eE_ ", max_size=12), min_size=1, max_size=40))
+def test_any_short_text(texts):
+    assert_reads_like_float(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+def test_any_printed_float(values):
+    assert_reads_like_float(printed(np.array(values)))
