@@ -69,15 +69,17 @@ def _scaled(mantissa: float, exponent: int) -> float:
 def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     """Average magnetic susceptibility N g^2 (1 + Re C) / (2 T).
 
-    Units are (g mu_B)^2 per energy with mu_B = 1; re_c must lie in
-    [-1, 1/3], the physical range of the pairwise correlation. A result that
-    is not finite, or subnormal and so short of digits, is a ValueError; the
-    exact 0 at Re C = -1 is not. g and T enter through their mantissas, and
+    Units are (g mu_B)^2 per energy with mu_B = 1. A re_c outside [-1, 1/3],
+    the physical range of the pairwise correlation, is a ValueError, and so
+    is NaN. A result that is not finite, or subnormal and so short of
+    digits, is a ValueError; the exact 0 at Re C = -1 is not. g and T enter through their mantissas, and
     their binary exponents are applied last (`_scaled`), so no intermediate
     overflows or underflows unless chi itself does.
     """
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be finite and positive")
+    if not -1.0 <= re_c <= 1.0 / 3.0:
+        raise ValueError(f"re_c = {re_c!r} must lie in [-1, 1/3]")
     (g, g_exp), (t, t_exp) = math.frexp(model.g), math.frexp(temperature)
     chi = _scaled(model.n_ions / 2.0 * g * g * (1.0 + re_c) / t, 2 * g_exp - t_exp)
     if not np.isfinite(chi):
@@ -128,7 +130,8 @@ def entanglement_of_formation(conc):
     exact: E(0) = 0 and E(1) = 1.
     """
     conc = np.asarray(conc, dtype=float)
-    if np.count_nonzero((conc < 0.0) | (conc > 1.0)):
+    # Written so that a NaN, which fails every comparison, is out of range too.
+    if np.count_nonzero(~((conc >= 0.0) & (conc <= 1.0))):
         raise ValueError("concurrence must lie in [0, 1]")
     gamma_plus = 0.5 * (1.0 + np.sqrt(1.0 - conc**2))
     gamma_minus = 1.0 - gamma_plus
@@ -187,9 +190,21 @@ def quantifier_table(x, s) -> dict[str, np.ndarray]:
     return {name: form(re_c, s) for name, form in _CLOSED_FORMS.items()}
 
 
+def _finite_at(f, x):
+    """f(x), or a ValueError naming x if it is not finite: a NaN would fail
+    both of the bisection's sign tests and steer it without a sign change."""
+    fx = f(x)
+    if not math.isfinite(fx):
+        raise ValueError(f"f is not finite at x = {float(x)!r}: {float(fx)!r}")
+    return fx
+
+
 def bisect_root(f, lo: float, hi: float) -> float:
-    """Bisection on a bracketing interval, run until |f| < 1e-12."""
-    flo, fhi = f(lo), f(hi)
+    """Bisection on a bracketing interval, run until |f| < 1e-12.
+
+    A value of f that is not finite, at an end or at a midpoint, is a
+    ValueError that names its abscissa."""
+    flo, fhi = _finite_at(f, lo), _finite_at(f, hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -198,7 +213,7 @@ def bisect_root(f, lo: float, hi: float) -> float:
         raise ValueError("interval does not bracket a root")
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
+        fmid = _finite_at(f, mid)
         if abs(fmid) < _ROOT_FTOL:
             return mid
         if np.sign(fmid) == np.sign(flo):

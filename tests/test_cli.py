@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1340,6 +1341,14 @@ class TestVerify:
 
     def test_suite_makes_one_stacked_call_per_block(self, monkeypatch):
         calls = {"exclusive_structure_factor": 0, "random_density_matrix": 0, "werner_state": 0, "scan_roots": 0}
+        concurrence_states = []
+        wootters = verify.oracle.wootters_concurrence
+
+        def counted_states(rho):
+            concurrence_states.append(int(np.prod(np.shape(rho)[:-2])))
+            return wootters(rho)
+
+        monkeypatch.setattr(verify.oracle, "wootters_concurrence", counted_states)
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -1361,6 +1370,57 @@ class TestVerify:
         assert 1 <= calls["random_density_matrix"] <= 2
         assert 1 <= calls["werner_state"] <= 2
         assert calls["scan_roots"] == 4
+        # The 7 seed-303 CHSH violators, the 100 Werner states and the singlet
+        # point; not the 1000 random states, whose other 993 cannot count.
+        assert sum(concurrence_states) == 108
+
+    @staticmethod
+    def counterexamples_of_every_state(states, chsh):
+        return np.count_nonzero((chsh > 2.0 + 1e-9) & (verify.oracle.wootters_concurrence(states) == 0.0))
+
+    # (seed, states, violators the altered oracle calls separable); seed 77's
+    # 50 states hold no CHSH violator, so the selection is empty.
+    @pytest.mark.parametrize("seed, size, altered", [(303, 1000, 2), (1, 400, 1), (2, 400, 1), (77, 50, 0)])
+    def test_separable_check_counts_what_every_state_would(self, monkeypatch, seed, size, altered):
+        # The check computes the concurrence of the CHSH violators only. With
+        # the oracle as shipped, and with one that calls every state of
+        # concurrence below 1/2 separable (a per-state value, so that the count
+        # is not 0 = 0), the count equals the one over every state's concurrence.
+        states = verify.oracle.random_density_matrix(np.random.default_rng(seed), size)
+        shared = SimpleNamespace(random_states=states, chsh=verify.oracle.chsh_max(states, "optimized"))
+        assert verify._separable_violators(shared) == self.counterexamples_of_every_state(states, shared.chsh) == 0
+        wootters = verify.oracle.wootters_concurrence
+        monkeypatch.setattr(verify.oracle, "wootters_concurrence", lambda rho: np.where(
+            np.asarray(wootters(rho)) < 0.5, 0.0, 1.0
+        ))
+        assert verify._separable_violators(shared) == self.counterexamples_of_every_state(states, shared.chsh) == altered
+
+    def test_separable_check_of_a_stack_without_violators(self, monkeypatch):
+        # Werner states violate CHSH only for p > 1/sqrt(2); the selection is empty.
+        states = verify.oracle.werner_state(np.linspace(0.0, 0.7, 20))
+        shared = SimpleNamespace(random_states=states, chsh=verify.oracle.chsh_max(states, "optimized"))
+        seen = []
+        wootters = verify.oracle.wootters_concurrence
+        monkeypatch.setattr(verify.oracle, "wootters_concurrence", lambda rho: seen.append(np.shape(rho)) or wootters(rho))
+        assert verify._separable_violators(shared) == self.counterexamples_of_every_state(states, shared.chsh) == 0
+        assert seen[0] == (0, 4, 4)
+
+    def test_separable_check_fails_on_an_oracle_that_finds_no_entanglement(self, monkeypatch):
+        # Every seed-303 CHSH violator then counts.
+        monkeypatch.setattr(verify.oracle, "wootters_concurrence", lambda rho: np.zeros(np.shape(rho)[:-2]))
+        check = {c.name: c for c in verify.run_all_checks().checks}["separable random states never violate CHSH"]
+        assert (check.observed, check.passed) == (7.0, False)
+
+    def test_pipeline_closed_forms_on_the_phase_array_match_scalar_calls(self):
+        # The susceptibility check evaluates Re C and the witness once on its
+        # seed-202 phases; each value is the per-phase scalar call's bit for bit.
+        phases = np.random.default_rng(202).uniform(0.0, 2.0 * np.pi, 100)
+        wide = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 10_000)
+        for f in (quantifiers.real_correlation, quantifiers.witness):
+            for x in (phases, wide):
+                stacked = np.array(f(x).tolist())
+                scalar = np.array([float(f(phase)) for phase in x])
+                assert np.array_equal(stacked.view(np.int64), scalar.view(np.int64)), f.__name__
 
 
 class TestArgumentErrors:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,15 @@ class TestSusceptibilityPipeline:
         assert abs(chi - float(exact)) <= 1e-15 * float(exact)
         assert abs(witness_from_susceptibility(chi, temperature, model) - witness(0.9)) < 1e-15
 
+    @pytest.mark.parametrize("re_c", [np.nextafter(-1.0, -2.0), np.nextafter(1.0 / 3.0, 1.0), 1.0, -np.inf, np.inf, np.nan])
+    def test_rejects_a_correlation_outside_its_range(self, re_c):
+        with pytest.raises(ValueError, match=rf"^re_c = {re.escape(repr(re_c))} must lie in \[-1, 1/3\]$"):
+            susceptibility(5.0, re_c, DimerModel())
+
+    def test_accepts_both_ends_of_the_correlation_range(self):
+        assert susceptibility(5.0, -1.0, DimerModel()) == 0.0
+        assert susceptibility(1.0, 1.0 / 3.0, DimerModel(g=1.0)) == 4.0 / 3.0
+
     @pytest.mark.parametrize("bad_temp", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_non_positive_temperature(self, bad_temp):
         with pytest.raises(ValueError, match="^temperature must be finite and positive$"):
@@ -199,6 +209,11 @@ class TestEntanglementOfFormation:
             entanglement_of_formation(-0.1)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             entanglement_of_formation(1.1)
+
+    @pytest.mark.parametrize("conc", [np.nan, [0.5, np.nan], [np.nan, 0.0, 1.0]])
+    def test_rejects_nan(self, conc):
+        with pytest.raises(ValueError, match=r"^concurrence must lie in \[0, 1\]$"):
+            entanglement_of_formation(conc)
 
     def test_strictly_increasing(self):
         conc = np.linspace(1e-6, 1.0, 1000)
@@ -309,6 +324,17 @@ class TestRootFinding:
 
         assert bisect_root(step, 0.0, 1.0) == 0.29999999999999993 == np.nextafter(0.3, 0.0)
         assert len(calls) == 2 + quantifiers._MAX_BISECTIONS
+
+    @pytest.mark.parametrize("f, where", [
+        (lambda x: np.nan, 0.0),
+        (lambda x: np.nan if x == 1.0 else -1.0, 1.0),
+        (lambda x: -np.inf if x == 0.0 else x, 0.0),
+        # Finite at both ends, NaN on (0.4, 0.6): the first midpoint is 0.5.
+        (lambda x: np.nan if 0.4 < x < 0.6 else x - 0.7, 0.5),
+    ])
+    def test_bisection_rejects_a_value_that_is_not_finite(self, f, where):
+        with pytest.raises(ValueError, match=rf"^f is not finite at x = {where!r}: "):
+            bisect_root(f, 0.0, 1.0)
 
     def test_window_without_two_sign_changes_is_an_error(self):
         with pytest.raises(RuntimeError, match=r"expected exactly 2 sign changes on \[0, 2pi\], found 0"):
