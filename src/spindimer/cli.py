@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import verify
-from .csvfloat import format_csv, parse_csv
+from .csvfloat import format_csv, line_bounds, parse_csv
 from .quantifiers import (
     QUANTIFIER_FUNCTIONS,
     quantifier_table,
@@ -260,6 +260,8 @@ def _cmd_report(args) -> int:
     if args.x is not None:
         x = args.x * (np.pi / 180.0 if args.degrees else 1.0)
     elif args.q is not None:
+        if args.degrees:
+            raise ValueError("--degrees applies to --x only")
         if args.r1 is None or args.r2 is None:
             raise ValueError("--q requires --r1 and --r2")
         x = scattering_phase(
@@ -283,22 +285,9 @@ _ROW_TEXT = csv.writer(SimpleNamespace(write=str), lineterminator="")
 _REJECT_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
-def _line_starts(data: bytes) -> np.ndarray:
-    """The byte at which each line of `data` starts, file line k at index
-    k - 1, with lines split as csv reads them: \\n, \\r\\n and a bare \\r each
-    end a line, and a last line may be unterminated."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cr = np.flatnonzero(raw == ord("\r"))
-    bare_cr = cr[raw[np.minimum(cr + 1, len(raw) - 1)] != ord("\n")]  # a \r\n ends at its \n
-    # A line starts just after a line end; the first, after one at byte -1.
-    starts = np.concatenate(([-1], np.flatnonzero(raw == ord("\n")), bare_cr))
-    starts.sort()
-    starts += 1
-    return starts[:np.searchsorted(starts, len(data))]  # no line starts at the end of the data
-
-
-def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> tuple[str, str, int, int, int]:
-    """Ingest the records that start on file lines first..last, which begin at byte `start`.
+def _ingest_slice(data: bytes, bounds: np.ndarray, first: int, last: int, mode: str) -> tuple[str, str, int, int, int]:
+    """Ingest the records that start on file lines first..last, line k being
+    data[bounds[k - 1]:bounds[k]] (`csvfloat.line_bounds`).
 
     `csvfloat.parse_csv` reads the records and their values. Returns the
     output rows as CSV text, the rejects as the CSV text of their
@@ -308,7 +297,7 @@ def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> 
     then greater than `last`.
     """
     width = len(SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER)
-    records = parse_csv(data, start, first, last, width)
+    records = parse_csv(data, bounds, first, last, width)
     numeric = np.flatnonzero(records.numeric)
     table = records.values[numeric]
     s = table[:, -1]
@@ -333,16 +322,17 @@ def _ingest_slice(data: bytes, start: int, first: int, last: int, mode: str) -> 
     return format_csv(output), rejects, len(reasons), len(output), records.end
 
 
-def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) -> tuple[int, list[str], int]:
-    """Ingest file lines first..len(starts) of `data`, line k starting at
-    byte starts[k - 1], and write their rows to `fh` in order; returns
+def _write_ingest(fh, data: bytes, bounds: np.ndarray, first: int, mode: str) -> tuple[int, list[str], int]:
+    """Ingest file lines first..len(bounds) - 1 of `data`, line k being
+    data[bounds[k - 1]:bounds[k]], and write their rows to `fh` in order; returns
     (accepted count, the rejects' CSV text in line order, reject count).
 
     Each slice of ROWS_PER_CHUNK lines is one job. If a record ran on to
     line e, a slice that ends by line e is dropped, and of the next slice
     only what is read from line e + 1 on is kept.
     """
-    slices = [(a, min(a + ROWS_PER_CHUNK - 1, len(starts))) for a in range(first, len(starts) + 1, ROWS_PER_CHUNK)]
+    lines = len(bounds) - 1
+    slices = [(a, min(a + ROWS_PER_CHUNK - 1, lines)) for a in range(first, lines + 1, ROWS_PER_CHUNK)]
     accepted, rejects, rejected, reached = 0, [], 0, first - 1  # reached: the line the last record read ended on
 
     # A job begins on its slice's first line or, if later, on the line after
@@ -358,7 +348,7 @@ def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) ->
         if begin > last:  # in-process, after a record that ran past this slice: write drops it
             return begin, None
         try:
-            return begin, _ingest_slice(data, starts[begin - 1], begin, last, mode)
+            return begin, _ingest_slice(data, bounds, begin, last, mode)
         except ValueError as exc:  # kept for write: a slice begun inside a record may fail
             return begin, exc
 
@@ -369,7 +359,7 @@ def _write_ingest(fh, data: bytes, starts: np.ndarray, first: int, mode: str) ->
         if reached >= last:
             return
         if begin <= reached:
-            outcome = _ingest_slice(data, starts[reached], reached + 1, last, mode)
+            outcome = _ingest_slice(data, bounds, reached + 1, last, mode)
         elif isinstance(outcome, ValueError):
             raise outcome
         text, reject_text, reject_count, count, reached = outcome
@@ -396,9 +386,9 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     fails the whole run and leaves the outputs as they were; so does an
     output or rejects path that is the input file, before it is read.
 
-    The parent reads the input, indexes where its lines start
-    (`_line_starts`), checks it is UTF-8 without NUL bytes and checks the
-    header. The lines after it are cut into slices of ROWS_PER_CHUNK lines,
+    The parent reads the input, indexes where its lines lie
+    (`csvfloat.line_bounds`), checks it is UTF-8 without NUL bytes and
+    checks the header. The lines after it are cut into slices of ROWS_PER_CHUNK lines,
     each read (`csvfloat.parse_csv`: quote-free lines by numpy and a decimal
     kernel, the rest by csv.reader, undecided cells by float()), checked,
     evaluated and formatted as one `_ordered_map` job, so on more than one
@@ -413,24 +403,24 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
         if path.exists() and os.path.samefile(path, input_path):
             raise ValueError(f"output {path} is the input file")
     data = input_path.read_bytes()
-    starts = _line_starts(data)
+    bounds = line_bounds(data)
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = np.searchsorted(starts, exc.start, "right")
+            line = np.searchsorted(bounds, exc.start, "right")
             raise ValueError(f"line {line} is not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
     nul = data.find(b"\0")
     if nul >= 0:  # csv rejects it on some Pythons and reads it as a character on others
-        raise ValueError(f"line {np.searchsorted(starts, nul, 'right')} contains a NUL byte")
-    head = parse_csv(data, 0, 1, 1, len(header))
+        raise ValueError(f"line {np.searchsorted(bounds, nul, 'right')} contains a NUL byte")
+    head = parse_csv(data, bounds, 1, 1, len(header))
     if not len(head.line) or [c.strip() for c in head.cells(0)] != header:
         raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
 
     out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
     with _replaced_on_success(out_path) as fh:
         fh.write(out_header)
-        accepted, rejects, rejected = _write_ingest(fh, data, starts, head.end + 1, mode)
+        accepted, rejects, rejected = _write_ingest(fh, data, bounds, head.end + 1, mode)
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:

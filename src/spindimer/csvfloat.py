@@ -27,8 +27,9 @@ sign. Zero prints as "0" or "-0". Every other value (NaN, infinities,
 Python with "%-24.17g", at most 24 characters, and dropped into the same
 slots with its padding masked.
 
-Reading: `parse_csv` reads the records of a run of lines as `csv.reader`
-does and the value of each cell as `float()` does; see its docstring.
+Reading: `line_bounds` finds where csv's lines start and end, and
+`parse_csv` reads the records of a run of them as `csv.reader` does and
+the value of each cell as `float()` does; see its docstring.
 """
 
 from __future__ import annotations
@@ -437,43 +438,22 @@ def _text_from(data: bytes, start: int):
     return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
-def _separators(data: bytes, start: int, lines: int):
-    """The next `lines` lines of `data` from byte `start`, fewer at its end.
+def line_bounds(data: bytes) -> np.ndarray:
+    """Where the lines of `data` lie, split as csv splits them: \\n, \\r\\n and
+    a bare \\r each end a line, and a last line may be unterminated.
 
-    Returns (raw, at, after, ends): their bytes as uint8, the byte of each
-    "," and line end in them, the byte after each (the next cell's or line's
-    first), and which of them end a line. Lines end as csv splits them: at
-    \\n, \\r\\n, a bare \\r, or the end of the data.
+    Entry k - 1 is the first byte of file line k and the last entry is
+    len(data), so line k is data[b[k - 1]:b[k]]; `data` has len(b) - 1
+    lines, none for b"".
     """
-    # A first guess from the first line's length, doubled while lines are missing.
-    line_end = [i for i in (data.find(b"\n", start, start + 4096), data.find(b"\r", start, start + 4096)) if i >= 0]
-    size = min((min(line_end, default=start + 4096) - start + 2) * (lines + lines // 4) + 256, 1 << 22)
-    while True:
-        stop = min(len(data), start + size)
-        raw = np.frombuffer(data, np.uint8, stop - start, start)
-        at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")) | (raw == ord("\r")))
-        kind = raw[at]
-        # A \r\n ends one line, after its \n: keep the \r, drop the \n.
-        crlf = np.zeros(len(at), bool)
-        crlf[:-1] = (kind[:-1] == ord("\r")) & (kind[1:] == ord("\n")) & (at[1:] == at[:-1] + 1)
-        keep = np.ones(len(at), bool)
-        keep[1:] = ~crlf[:-1]
-        if stop < len(data):
-            keep &= at < len(raw) - 1  # a \r there may be half of a \r\n
-        at, kind, crlf = at[keep], kind[keep], crlf[keep]
-        ends = kind != ord(",")
-        found = np.flatnonzero(ends)
-        if len(found) >= lines or stop == len(data):
-            break
-        size *= 2
-    if len(found) >= lines:
-        cut = found[lines - 1] + 1
-        at, crlf, ends = at[:cut], crlf[:cut], ends[:cut]
-    elif (at[found[-1]] + 1 + crlf[found[-1]] if len(found) else 0) < len(raw):
-        # The data ends inside a line: that end ends it.
-        at, crlf, ends = np.append(at, len(raw)), np.append(crlf, False), np.append(ends, True)
-    after = at + 1 + crlf
-    return raw[:after[-1] if len(after) else 0], at, after, ends
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(raw == ord("\r"))
+    bare_cr = cr[raw[np.minimum(cr + 1, len(raw) - 1)] != ord("\n")]  # a \r\n ends at its \n
+    # A line starts just after a line end; the first, after one at byte -1.
+    bounds = np.concatenate(([-1], np.flatnonzero(raw == ord("\n")), bare_cr))
+    bounds.sort()
+    bounds += 1
+    return bounds if bounds[-1] == len(data) else np.append(bounds, len(data))  # an unterminated last line
 
 
 class CsvRecords(NamedTuple):
@@ -487,20 +467,21 @@ class CsvRecords(NamedTuple):
     cells: Callable[[int], list[str]]  # record i's cells, as csv reads them
 
 
-def parse_csv(data: bytes, start: int, first: int, last: int, width: int) -> CsvRecords:
-    """The records that start on file lines first..last of `data`, which
-    begin at byte `start` on a record; what csv.reader and float() make of
-    them.
+def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int) -> CsvRecords:
+    """The records that start on file lines first..last of `data` (fewer
+    at its end), line k being data[bounds[k - 1]:bounds[k]] as
+    `line_bounds` finds it, and line `first` starting a record; what
+    csv.reader and float() make of them.
 
     A line without a '"' byte, no longer than csv.field_size_limit(), is one
-    record whose cells lie between its commas; numpy finds those lines and
-    commas in the bytes, and csv reads them so too (an empty line is a
-    record of no cells). Any other line is read by csv.reader from the line
-    it starts on, one record at a time, one reader for as long as records
-    start on such lines; such a record may take the lines after it, past
-    `last` too, and the next record starts on the line after it. So every
-    record starts where csv, reading from `start`, starts one. A record csv
-    cannot parse is a ValueError naming its line.
+    record whose cells lie between its commas; numpy finds the commas in the
+    lines' bytes, and csv reads them so too (an empty line is a record of no
+    cells). Any other line is read by csv.reader from the line it starts on,
+    one record at a time, one reader for as long as records start on such
+    lines; such a record may take the lines after it, past `last` too, and
+    the next record starts on the line after it. So every record starts
+    where csv, reading from line `first`, starts one. A record csv cannot
+    parse is a ValueError naming its line.
 
     The cells of each record with `width` cells are read by `_decimals`;
     each cell it does not decide goes to float(), and a ValueError there
@@ -517,13 +498,33 @@ def parse_csv(data: bytes, start: int, first: int, last: int, width: int) -> Csv
     spaces, "_", nan, inf, other digits than ASCII, longer digit strings
     and larger exponents. "-0" reads as -0.0.
     """
-    raw, at, after, ends = _separators(data, start, last - first + 1)
-    line_end = after[ends]  # the byte each line's successor starts at
-    line_start = np.concatenate(([0], line_end))[:-1]
-    content_end = at[ends]  # the byte of each line's terminator
-    lines = len(line_end)
+    last = min(last, len(bounds) - 1)
+    lines = last - first + 1
+    start = int(bounds[first - 1])
+    raw = np.frombuffer(data, np.uint8, int(bounds[last]) - start, start)
+    line_start = bounds[first - 1:last] - start
+    line_end = bounds[first:last + 1] - start  # the byte each line's successor starts at
+    # The byte of each line's terminator: its \n or \r, the \r of a \r\n,
+    # or its end if it has none.
+    final = raw[line_end - 1]
+    newline = final == ord("\n")
+    content_end = line_end - (newline | (final == ord("\r")))
+    crlf = newline & (content_end > line_start)
+    crlf[crlf] = raw[content_end[crlf] - 1] == ord("\r")
+    content_end -= crlf
+    # Each line's cells end at its commas and at its terminator, in one
+    # array in byte order: `at` holds those bytes, `after` the byte after
+    # each (the next cell's or line's first), `ends` which end a line.
+    comma = np.flatnonzero(raw == ord(","))
+    fields = np.diff(np.searchsorted(comma, line_end), prepend=0) + 1  # commas + 1
+    ends = np.zeros(fields.sum(), bool)
+    ends[np.cumsum(fields) - 1] = True
+    at = np.empty(len(ends), np.intp)
+    at[ends] = content_end
+    at[~ends] = comma
+    after = at + 1
+    after[ends] = line_end
     field_line = np.cumsum(ends) - ends  # the line of each cell
-    fields = np.diff(np.flatnonzero(ends), prepend=-1)
     fields[content_end == line_start] = 0
     special = content_end - line_start > csv.field_size_limit()
     special[np.searchsorted(line_end, np.flatnonzero(raw == ord('"')), "right")] = True

@@ -278,6 +278,13 @@ class TestReport:
         by_degrees = self.run_json(["report", "--x", "180", "--degrees", "--format", "json"])
         assert by_degrees["concurrence"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_degrees_flag_with_vectors_is_a_validation_failure(self, capsys):
+        argv = ["report", "--q", "1,0,0", "--r1", "180,0,0", "--r2", "0,0,0", "--degrees"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --degrees applies to --x only\n"
+        assert captured.out == ""
+
     def test_thermal_block(self):
         report = self.run_json([
             "report", "--x", "1.0", "--coupling", "1.0", "--temperature", "2.0",
@@ -551,12 +558,12 @@ class TestIngest:
                 handles.append(fh)
                 yield fh
 
-        def fail_after_the_first_slice(data, start, first, last, mode):
+        def fail_after_the_first_slice(data, bounds, first, last, mode):
             if first > 2:
                 handles[0].flush()
                 lines_written.append(Path(handles[0].name).read_text(encoding="utf-8").count("\n"))
                 raise error("interrupted")
-            return ingest_slice(data, start, first, last, mode)
+            return ingest_slice(data, bounds, first, last, mode)
 
         monkeypatch.setattr(cli, "_replaced_on_success", record_handle)
         monkeypatch.setattr(cli, "_ingest_slice", fail_after_the_first_slice)
@@ -877,9 +884,9 @@ class TestIngestSlices:
         reads = []
         ingest_slice = cli._ingest_slice
 
-        def record_reads(data, start, first, last, mode):
-            reads.append((start, first))  # only reads in this process: forked jobs record in their copy
-            return ingest_slice(data, start, first, last, mode)
+        def record_reads(data, bounds, first, last, mode):
+            reads.append((int(bounds[first - 1]), first))  # only reads in this process: forked jobs record in their copy
+            return ingest_slice(data, bounds, first, last, mode)
 
         monkeypatch.setattr(cli, "_ingest_slice", record_reads)
         code, out, rejects = self.ingest(monkeypatch, src, cpus, rows_per_chunk)
@@ -960,13 +967,6 @@ class TestIngestSlices:
         assert [line for line, _ in parse_rejects(rejects)] == [str(i + 2) for i in range(50) if i % 7 == 2]
         assert len(forks) == (cpus if cpus > 1 else 0)  # cut into 13 slices, whatever ends the lines
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet='a,"\r\n', max_size=40))
-    def test_line_starts_are_where_csv_lines_start(self, text):
-        data = text.encode()
-        lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-        assert cli._line_starts(data).tolist() == np.cumsum([0, *map(len, lines)])[:-1].tolist()
-
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("mode", ["scalar", "vector"])
     def test_golden_bytes_from_small_slices(self, tmp_path, monkeypatch, forks, cpus, mode):
@@ -1009,14 +1009,25 @@ class TestIngestSlices:
         assert capsys.readouterr().out == "accepted 0 rows, rejected 0 rows\n"
         assert forks == []
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("data", [b"", b"\n", b"\r", b"\r\n"])
+    def test_input_without_a_header(self, tmp_path, monkeypatch, capsys, forks, cpus, data):
+        # b"" has no lines at all; the others hold one empty line.
+        src = tmp_path / "in.csv"
+        src.write_bytes(data)
+        assert self.ingest(monkeypatch, src, cpus, 1) == (1, None, None)
+        assert capsys.readouterr().err == "error: expected header 'x_rad,S' in scalar mode\n"
+        assert forks == []
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
-def reference_slice(data, start, first, last, mode):
+
+def reference_slice(data, bounds, first, last, mode):
     """What cli._ingest_slice returns for a slice, computed as ingest read
-    slices before its reading kernel: csv.reader over the text from byte
-    `start`, float() on every cell, and each reject's cells CSV-encoded on
-    their own."""
+    slices before its reading kernel: csv.reader over the text from line
+    `first`, which starts at byte bounds[first - 1], float() on every cell,
+    and each reject's cells CSV-encoded on their own."""
     width = len(cli.SCALAR_HEADER if mode == "scalar" else cli.VECTOR_HEADER)
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data[start:]), encoding="utf-8", newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data[bounds[first - 1]:]), encoding="utf-8", newline=""))
     rejected, parsed_lines, parsed_cells, values = [], [], [], []
     end = line_no = first
     try:
@@ -1058,10 +1069,10 @@ def reference_slice(data, start, first, last, mode):
     return percent_17g(output), rejects.getvalue(), len(rejected), len(output), end
 
 
-def slice_outcome(reader, data, start, first, last, mode):
+def slice_outcome(reader, data, bounds, first, last, mode):
     """reader(...)'s result, or its ValueError's message."""
     try:
-        return reader(data, start, first, last, mode)
+        return reader(data, bounds, first, last, mode)
     except ValueError as exc:
         return str(exc)
 
@@ -1079,8 +1090,8 @@ QUOTED_CELLS = st.text(alphabet='0.5,"\n\r', max_size=6).map(lambda t: '"' + t.r
 
 @st.composite
 def csv_slices(draw):
-    """(data, start, first, last, mode): mixed CSV lines, and a run of them
-    that begins on a record."""
+    """(data, bounds, first, last, mode): mixed CSV lines, their line index,
+    and a run of them that begins on a record."""
     mode = draw(st.sampled_from(["scalar", "vector"]))
     width = 2 if mode == "scalar" else 10
     s_cell = st.floats(0.0, 1.0).map(repr)
@@ -1094,7 +1105,8 @@ def csv_slices(draw):
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # an unterminated last line
     data = text.encode("utf-8")
-    lines = len(cli._line_starts(data))
+    bounds = csvfloat.line_bounds(data)
+    lines = len(bounds) - 1
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     record_starts, line = [], 1
     for _ in reader:
@@ -1103,7 +1115,7 @@ def csv_slices(draw):
     assume(record_starts)
     first = draw(st.sampled_from(record_starts))
     last = draw(st.integers(first, lines))
-    return data, int(cli._line_starts(data)[first - 1]), first, last, mode
+    return data, bounds, first, last, mode
 
 
 class TestSliceReader:
@@ -1119,18 +1131,30 @@ class TestSliceReader:
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_a_record_across_the_last_line(self, ending):
         data = ending.join(["0.5,0.5", '"1.0', '",0.25', "abc,0.5", "0.75,1"]).encode()
-        want = reference_slice(data, 0, 1, 2, "scalar")
-        assert cli._ingest_slice(data, 0, 1, 2, "scalar") == want
+        bounds = csvfloat.line_bounds(data)
+        want = reference_slice(data, bounds, 1, 2, "scalar")
+        assert cli._ingest_slice(data, bounds, 1, 2, "scalar") == want
         assert want[1:] == ("", 0, 2, 3)  # the quoted record, lines 2-3, runs past line 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_a_slice_that_begins_on_an_empty_line(self, ending):
+        # The slice's first line is a lone "\n" after a "\r\n": looking for a
+        # "\r" before that "\n" must not wrap round to the slice's last byte.
+        data = f"0.5,0.5\r\n\n0.25,0.5{ending}".encode()
+        bounds = csvfloat.line_bounds(data)
+        want = reference_slice(data, bounds, 2, 3, "scalar")
+        assert cli._ingest_slice(data, bounds, 2, 3, "scalar") == want
+        assert want[1:] == ('2,"expected 2 fields, got 0",\n', 1, 1, 3)
 
     def test_an_over_long_quote_free_cell(self):
         data = b"0.5,0.5\n0." + b"2" * 200_000 + b",0.5\n3.0,0.5\n"
+        bounds = csvfloat.line_bounds(data)
         with pytest.raises(ValueError, match=r"^unreadable CSV record on line 2: field larger than field limit"):
-            cli._ingest_slice(data, 0, 1, 3, "scalar")
+            cli._ingest_slice(data, bounds, 1, 3, "scalar")
         limit = csv.field_size_limit(300_000)
         try:
-            got = cli._ingest_slice(data, 0, 1, 3, "scalar")
-            assert got == reference_slice(data, 0, 1, 3, "scalar")
+            got = cli._ingest_slice(data, bounds, 1, 3, "scalar")
+            assert got == reference_slice(data, bounds, 1, 3, "scalar")
         finally:
             csv.field_size_limit(limit)
         assert got[1:] == ("", 0, 3, 3) and got[0].splitlines()[1].startswith("0.22222222222222221,0.5,")
@@ -1150,7 +1174,7 @@ class TestSliceReader:
             return values, decided
 
         monkeypatch.setattr(csvfloat, "_decimals", count_undecided)
-        assert cli._ingest_slice(data, 0, 1, 2048, "vector")[3] == 2048
+        assert cli._ingest_slice(data, csvfloat.line_bounds(data), 1, 2048, "vector")[3] == 2048
         assert len(calls) == 1 and calls[0] <= 0.01 * 2048 * 10
 
 

@@ -6,6 +6,7 @@ The batteries are functions so that a longer run can reuse them:
     PYTHONPATH=src:tests python -c 'import test_csvfloat as t; t.run_parser_batteries(10**7)'
 """
 
+import io
 import time
 from decimal import Decimal
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from spindimer.csvfloat import _decimals, format_csv, parse_csv
+from spindimer.csvfloat import _decimals, format_csv, line_bounds, parse_csv
 
 
 def reference(block) -> str:
@@ -277,7 +278,8 @@ def test_signs_zeros_and_bare_points():
 def test_cells_left_to_float_read_as_float_reads_them():
     texts = ["\u0661\u0662", "1_0", " 1 ", "\t-2.5", "nan", "-inf", "1e999", "9007199254740993", "1" * 30]
     assert not read_cells(texts)[1].any()
-    records = parse_csv(",".join(texts).encode("utf-8") + b"\n", 0, 1, 1, len(texts))
+    data = ",".join(texts).encode("utf-8") + b"\n"
+    records = parse_csv(data, line_bounds(data), 1, 1, len(texts))
     assert records.numeric.tolist() == [True]
     want = np.array([float(t) for t in texts])
     assert np.array_equal(records.values[0].view(np.int64), want.view(np.int64))
@@ -304,3 +306,13 @@ def test_any_short_text(texts):
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
 def test_any_printed_float(values):
     assert_reads_like_float(printed(np.array(values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='a,"\r\n', max_size=40))
+def test_line_bounds_are_where_csv_lines_start(text):
+    data = text.encode()
+    lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    bounds = line_bounds(data).tolist()
+    assert bounds == np.cumsum([0, *map(len, lines)]).tolist()
+    assert bounds[-1] == len(data)
