@@ -82,6 +82,17 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _print(text: str) -> None:
+    """print(text), flushed. If the reader closed stdout, stdout's descriptor
+    goes to os.devnull: the rest of the text, and the flush at exit, go nowhere."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 @contextmanager
 def _replaced_on_success(path: Path):
     """Text handle on a sibling temp file that replaces `path` on a clean exit.
@@ -100,12 +111,12 @@ def _replaced_on_success(path: Path):
 
 
 def _map_worker(job, indices: range, conn) -> None:
-    """Send job(i) for each i over `conn`, or the exception that stopped it."""
+    """Send (True, job(i)) for each i over `conn`, or (False, the exception that stopped it)."""
     try:
         for i in indices:
-            conn.send(job(i))
+            conn.send((True, job(i)))
     except Exception as exc:
-        conn.send(exc)
+        conn.send((False, exc))
 
 
 def _ordered_map(job, count: int, consume) -> None:
@@ -118,6 +129,8 @@ def _ordered_map(job, count: int, consume) -> None:
     here in its place in the order, after consume has taken every earlier
     result; an exception from consume stops the workers. On one CPU, for
     one job, or where the platform has no fork, the jobs run in-process.
+    A job must not read state that consume changes: forked, it would see
+    that state as it was at the fork. It may return an exception as a value.
     """
     workers = min(len(os.sched_getaffinity(0)), count) if hasattr(os, "sched_getaffinity") else 1
     if workers > 1:
@@ -146,10 +159,10 @@ def _ordered_map(job, count: int, consume) -> None:
             sender.close()
         for i in range(count):
             try:
-                result = receivers[i % workers].recv()
+                done, result = receivers[i % workers].recv()
             except EOFError:
                 raise RuntimeError(f"worker {i % workers} exited before sending chunk {i}") from None
-            if isinstance(result, BaseException):
+            if not done:
                 raise result
             consume(i, result)
     finally:
@@ -273,10 +286,7 @@ def _cmd_report(args) -> int:
         raise ValueError("one of --x or --q/--r1/--r2 is required")
 
     report = build_point_report(x, args.coupling, args.g, args.temperature)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(_format_report_text(report))
+    _print(json.dumps(report, indent=2) if args.format == "json" else _format_report_text(report))
     return EXIT_OK
 
 
@@ -327,38 +337,26 @@ def _write_ingest(fh, data: bytes, bounds: np.ndarray, first: int, mode: str) ->
     data[bounds[k - 1]:bounds[k]], and write their rows to `fh` in order; returns
     (accepted count, the rejects' CSV text in line order, reject count).
 
-    Each slice of ROWS_PER_CHUNK lines is one job. If a record ran on to
-    line e, a slice that ends by line e is dropped, and of the next slice
-    only what is read from line e + 1 on is kept.
+    Each slice of ROWS_PER_CHUNK lines is one job, read from its first line.
+    If a record ran on to line e, write drops a slice that ends by line e
+    and reads the slice holding line e again from line e + 1.
     """
     lines = len(bounds) - 1
     slices = [(a, min(a + ROWS_PER_CHUNK - 1, lines)) for a in range(first, lines + 1, ROWS_PER_CHUNK)]
     accepted, rejects, rejected, reached = 0, [], 0, first - 1  # reached: the line the last record read ended on
 
-    # A job begins on its slice's first line or, if later, on the line after
-    # `reached` as it stands in the job's own process, and returns the line
-    # it began on. In-process, write has taken every earlier slice, so
-    # `reached` is current and each line is read once. A forked
-    # worker holds `reached` as it was at the fork, first - 1, so its job
-    # reads from the slice's first line, and write reads the slice again
-    # from line reached + 1 if the job began at or before it.
     def job(i: int):
-        head, last = slices[i]
-        begin = max(head, reached + 1)
-        if begin > last:  # in-process, after a record that ran past this slice: write drops it
-            return begin, None
         try:
-            return begin, _ingest_slice(data, bounds, begin, last, mode)
-        except ValueError as exc:  # kept for write: a slice begun inside a record may fail
-            return begin, exc
+            return _ingest_slice(data, bounds, *slices[i], mode)
+        except ValueError as exc:  # for write to raise or drop: a slice begun inside a record may fail
+            return exc
 
-    def write(i: int, result) -> None:
+    def write(i: int, outcome) -> None:
         nonlocal accepted, rejected, reached
-        last = slices[i][1]
-        begin, outcome = result
+        head, last = slices[i]
         if reached >= last:
             return
-        if begin <= reached:
+        if reached >= head:
             outcome = _ingest_slice(data, bounds, reached + 1, last, mode)
         elif isinstance(outcome, ValueError):
             raise outcome
@@ -393,9 +391,10 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     kernel, the rest by csv.reader, undecided cells by float()), checked,
     evaluated and formatted as one `_ordered_map` job, so on more than one
     CPU in forked workers; a job also encodes its rejects, and the parent
-    only writes the slices' text in order. A slice that starts inside a
-    quoted record with a line break is read from the line after the record,
-    so the output does not depend on where the cuts fell.
+    only writes the slices' text in order. A job reads its slice from its
+    first line; after a quoted record with a line break that ran past it,
+    the parent reads the slice again, so the cuts and the CPU count do not
+    change the output.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
@@ -433,15 +432,15 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
 
 def _cmd_ingest(args) -> int:
     accepted, rejected = run_ingest(Path(args.input), args.mode, Path(args.out))
-    print(f"accepted {accepted} rows, rejected {rejected} rows")
+    _print(f"accepted {accepted} rows, rejected {rejected} rows")
     if rejected:
-        print(f"rejects written to {args.out}.rejects.csv")
+        _print(f"rejects written to {args.out}.rejects.csv")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     report = verify.run_all_checks()
-    print(report.format_text())
+    _print(report.format_text())
     if args.json is not None:
         with _replaced_on_success(Path(args.json)) as fh:
             json.dump(report.as_dict(), fh, indent=2)

@@ -35,7 +35,6 @@ the value of each cell as `float()` does; see its docstring.
 from __future__ import annotations
 
 import csv
-import io
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -431,13 +430,6 @@ def _decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return values, valid
 
 
-def _text_from(data: bytes, start: int):
-    """`data` from byte `start` as text, with lines split as csv reads them."""
-    stream = io.BytesIO(data)  # shares the bytes; nothing is copied
-    stream.seek(start)
-    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
-
-
 def line_bounds(data: bytes) -> np.ndarray:
     """Where the lines of `data` lie, split as csv splits them: \\n, \\r\\n and
     a bare \\r each end a line, and a last line may be unterminated.
@@ -478,10 +470,12 @@ def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int
     lines' bytes, and csv reads them so too (an empty line is a record of no
     cells). Any other line is read by csv.reader from the line it starts on,
     one record at a time, one reader for as long as records start on such
-    lines; such a record may take the lines after it, past `last` too, and
-    the next record starts on the line after it. So every record starts
-    where csv, reading from line `first`, starts one. A record csv cannot
-    parse is a ValueError naming its line.
+    lines. A reader takes the lines data[bounds[k - 1]:bounds[k]] from that
+    line on, decoded, each with its terminator, as a file opened with
+    newline="" gives them; such a record may take the lines after it, past
+    `last` too, and the next record starts on the line after it. So every
+    record starts where csv, reading from line `first`, starts one. A record
+    csv cannot parse is a ValueError naming its line.
 
     The cells of each record with `width` cells are read by `_decimals`;
     each cell it does not decide goes to float(), and a ValueError there
@@ -541,7 +535,8 @@ def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int
         if run < i:  # inside a record already read
             continue
         i = run
-        reader = csv.reader(_text_from(data, start + int(line_start[run])))
+        edges = memoryview(bounds)[first + run - 1:]  # Python ints, read as the reader needs them
+        reader = csv.reader(map(bytes.decode, map(data.__getitem__, map(slice, edges, edges[1:]))))
         while i < lines and special_line[i]:
             try:
                 read[i] = next(reader)

@@ -10,6 +10,7 @@ live in `oracle`; this module is deliberately formula-only.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -62,8 +63,10 @@ def witness(x):
 
 def _scaled(mantissa: float, exponent: int) -> float:
     """mantissa * 2**exponent: exact in the normal range, inf on overflow."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(mantissa, exponent))
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
 
 
 def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
@@ -76,15 +79,15 @@ def susceptibility(temperature: float, re_c: float, model: DimerModel) -> float:
     their binary exponents are applied last (`_scaled`), so no intermediate
     overflows or underflows unless chi itself does.
     """
-    if not 0.0 < temperature < np.inf:
+    if not 0.0 < temperature < math.inf:
         raise ValueError("temperature must be finite and positive")
     if not -1.0 <= re_c <= 1.0 / 3.0:
         raise ValueError(f"re_c = {re_c!r} must lie in [-1, 1/3]")
     (g, g_exp), (t, t_exp) = math.frexp(model.g), math.frexp(temperature)
     chi = _scaled(model.n_ions / 2.0 * g * g * (1.0 + re_c) / t, 2 * g_exp - t_exp)
-    if not np.isfinite(chi):
+    if not math.isfinite(chi):
         raise ValueError(f"susceptibility is not finite for g = {model.g!r} and temperature = {temperature!r}")
-    if 0.0 < chi < np.finfo(float).tiny:
+    if 0.0 < chi < sys.float_info.min:
         raise ValueError(f"susceptibility is subnormal for g = {model.g!r} and temperature = {temperature!r}")
     return chi
 
@@ -98,13 +101,13 @@ def witness_from_susceptibility(chi: float, temperature: float, model: DimerMode
     are applied last, so T chi / g^2 overflows no intermediate. A subnormal
     chi, short of digits, is a ValueError; chi = 0 is not.
     """
-    if not 0.0 < temperature < np.inf:
+    if not 0.0 < temperature < math.inf:
         raise ValueError("temperature must be finite and positive")
-    if 0.0 < chi < np.finfo(float).tiny:
+    if 0.0 < chi < sys.float_info.min:
         raise ValueError(f"susceptibility chi = {chi!r} is subnormal")
     (t, t_exp), (c, c_exp), (g, g_exp) = math.frexp(temperature), math.frexp(chi), math.frexp(model.g)
     w = 3.0 * _scaled(t * c / (model.n_ions * model.spin * g * g), t_exp + c_exp - 2 * g_exp) - 1.0
-    if not np.isfinite(w):
+    if not math.isfinite(w):
         raise ValueError(f"witness from susceptibility is not finite for chi = {chi!r} and temperature = {temperature!r}")
     return w
 

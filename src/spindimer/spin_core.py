@@ -7,6 +7,8 @@ energies are in units of the exchange coupling.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -114,7 +116,7 @@ class DimerModel:
 
     coupling is the exchange constant J, any finite value; positive J puts
     the singlet at the bottom of the spectrum. g is the Lande factor; g^2 is
-    a finite normal float (np.finfo(float).tiny <= g^2 < inf), so the
+    a finite normal float (sys.float_info.min <= g^2 < inf), so the
     susceptibility's g^2 neither overflows nor vanishes nor loses digits as
     a subnormal. The Bohr magneton is 1 in natural units. The ion count and
     spin are fixed by the model and not configurable. The site positions
@@ -129,11 +131,10 @@ class DimerModel:
     spin: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if not np.isfinite(self.coupling):
+        if not math.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
-        tiny = float(np.finfo(float).tiny)  # the smallest normal float
-        if not tiny <= self.g * self.g < np.inf:  # NaN fails this comparison too
-            raise ValueError(f"g**2 must be finite and at least the smallest normal float, {tiny!r}")
+        if not sys.float_info.min <= self.g * self.g < math.inf:  # NaN fails this comparison too
+            raise ValueError(f"g**2 must be finite and at least the smallest normal float, {sys.float_info.min!r}")
 
 
 def build_hamiltonian(model: DimerModel) -> np.ndarray:

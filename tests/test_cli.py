@@ -862,15 +862,14 @@ class TestIngestSlices:
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_a_record_across_a_slice_end_resumes_after_it(self, tmp_path, monkeypatch, forks,
                                                          cpus, rows_per_chunk, ending):
-        lines, record_starts, record_ends, line = ["x_rad,S"], set(), set(), 2
+        lines, record_ends, line = ["x_rad,S"], {}, 2  # record_ends: a multi-line record's end line -> its start line
         for i in range(40):
-            record_starts.add(line)
             if i % 9 == 3:
                 lines.append(f'"{i * 0.1!r}{ending}",0.5')  # two lines, accepted
-                record_ends.add(line + 1)
+                record_ends[line + 1] = line
             elif i % 9 == 6:
                 lines.append(f'"{i},{ending}{ending}0.5"')  # three lines, one field
-                record_ends.add(line + 2)
+                record_ends[line + 2] = line
             elif i % 13 == 4:
                 lines.append(f"{i},bad")
             else:
@@ -901,8 +900,18 @@ class TestIngestSlices:
         assert bool(resumed) == (rows_per_chunk > 1)
         assert all(first - 1 in record_ends for _, first in resumed)
         if cpus == 1:
-            # Every job runs here and begins on a record's first line, so no read is dropped.
-            assert {first for _, first in reads} <= record_starts
+            # Every job runs here and reads its slice from the slice's first
+            # line, in order; then the parent reads each slice that began
+            # inside a record again from the line after it, unless the record
+            # covered the slice.
+            assert [read for read in reads if read in heads] == heads
+            lines_in_file = len(line_starts) - 1
+            rereads = []
+            for end, start in sorted(record_ends.items()):
+                head = 2 + (end - 2) // rows_per_chunk * rows_per_chunk  # of the slice holding line `end`
+                if start < head and end < min(head + rows_per_chunk - 1, lines_in_file):
+                    rereads.append((line_starts[end], end + 1))
+            assert resumed == rereads
         else:
             # Only the parent's re-reads run here.
             assert resumed == reads
@@ -1472,3 +1481,27 @@ class TestArgumentErrors:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the command writes to it (as
+    `| head -0` does) does not turn the run into an I/O failure."""
+
+    def run_with_closed_stdout(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run([sys.executable, "-m", "spindimer", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+
+    def test_report(self):
+        proc = self.run_with_closed_stdout(["report", "--x", "1"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_verify_still_writes_its_json(self, tmp_path):
+        proc = self.run_with_closed_stdout(["verify", "--json", str(tmp_path / "closed.json")])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(["verify", "--json", str(tmp_path / "open.json")]) == 0
+        assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()

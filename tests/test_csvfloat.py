@@ -6,6 +6,7 @@ The batteries are functions so that a longer run can reuse them:
     PYTHONPATH=src:tests python -c 'import test_csvfloat as t; t.run_parser_batteries(10**7)'
 """
 
+import csv
 import io
 import time
 from decimal import Decimal
@@ -316,3 +317,35 @@ def test_line_bounds_are_where_csv_lines_start(text):
     bounds = line_bounds(data).tolist()
     assert bounds == np.cumsum([0, *map(len, lines)]).tolist()
     assert bounds[-1] == len(data)
+
+
+def csv_records(data: bytes, first: int):
+    """(start line, end line, cells) of each record csv.reader reads from
+    file line `first` of `data` on."""
+    start = line_bounds(data)[first - 1]
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data[start:]), encoding="utf-8", newline=""))
+    records, line = [], first
+    for row in reader:
+        records.append((line, first + reader.line_num - 1, row))
+        line = first + reader.line_num
+    return records
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_multi_line_quoted_records_read_as_csv_reads_them(ending):
+    # Quoted cells that hold the file's own line ending, the other two, an
+    # empty line and a doubled quote, between plain rows and an empty line.
+    rows = ['x,S', f'"1{ending}",0.5', '2,0.25', f'"{ending}{ending}",3', '', f'4,"a{ending}""b""{ending}c"',
+            '"5\n",6', '"7\r\n",8', f'"9,{ending}\r\n\n",10', '11,1', f'"12{ending}"']
+    data = (ending.join(rows) + ending).encode()
+    lines = len(line_bounds(data)) - 1
+    whole = csv_records(data, 1)
+    assert max(end - start for start, end, _ in whole) == 3
+    for first in [start for start, _, _ in whole]:
+        for last in range(first, lines + 1):
+            records = parse_csv(data, line_bounds(data), first, last, 2)
+            want = [record for record in csv_records(data, first) if record[0] <= last]
+            assert records.line.tolist() == [start for start, _, _ in want]
+            assert [records.cells(r) for r in range(len(want))] == [cells for _, _, cells in want]
+            assert records.fields.tolist() == [len(cells) for _, _, cells in want]
+            assert records.end == want[-1][1]
