@@ -130,7 +130,7 @@ def _ordered_map(job, count: int, consume) -> None:
     result; an exception from consume stops the workers. On one CPU, for
     one job, or where the platform has no fork, the jobs run in-process.
     A job must not read state that consume changes: forked, it would see
-    that state as it was at the fork. It may return an exception as a value.
+    that state as it was at the fork.
     """
     workers = min(len(os.sched_getaffinity(0)), count) if hasattr(os, "sched_getaffinity") else 1
     if workers > 1:
@@ -268,7 +268,7 @@ def _parse_triple(text: str, name: str) -> np.ndarray:
 
 
 def _cmd_report(args) -> int:
-    if args.x is not None and args.q is not None:
+    if args.x is not None and (args.q, args.r1, args.r2) != (None, None, None):
         raise ValueError("give either --x or --q/--r1/--r2, not both")
     if args.x is not None:
         x = args.x * (np.pi / 180.0 if args.degrees else 1.0)
@@ -282,6 +282,8 @@ def _cmd_report(args) -> int:
             _parse_triple(args.r1, "--r1"),
             _parse_triple(args.r2, "--r2"),
         )
+    elif args.r1 is not None or args.r2 is not None:
+        raise ValueError("--r1 and --r2 require --q")
     else:
         raise ValueError("one of --x or --q/--r1/--r2 is required")
 
@@ -295,16 +297,14 @@ _ROW_TEXT = csv.writer(SimpleNamespace(write=str), lineterminator="")
 _REJECT_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
-def _ingest_slice(data: bytes, bounds: np.ndarray, first: int, last: int, mode: str) -> tuple[str, str, int, int, int]:
-    """Ingest the records that start on file lines first..last, line k being
-    data[bounds[k - 1]:bounds[k]] (`csvfloat.line_bounds`).
+def _ingest_slice(data: bytes, bounds: np.ndarray, first: int, last: int, mode: str) -> tuple[str, str, int, int]:
+    """Ingest file lines first..last, line k being data[bounds[k - 1]:bounds[k]]
+    (`csvfloat.line_bounds`), each line one record.
 
     `csvfloat.parse_csv` reads the records and their values. Returns the
     output rows as CSV text, the rejects as the CSV text of their
-    line,reason,row lines in line order, the number of rejects, the number
-    of accepted rows, and the file line the last record ended on. A quoted
-    record that runs past line `last` is read to its end, so that line is
-    then greater than `last`.
+    line,reason,row lines in line order, the number of rejects and the
+    number of accepted rows.
     """
     width = len(SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER)
     records = parse_csv(data, bounds, first, last, width)
@@ -318,49 +318,40 @@ def _ingest_slice(data: bytes, bounds: np.ndarray, first: int, last: int, mode: 
     reasons = {}
     for k in np.flatnonzero(~records.numeric).tolist():
         fields = int(records.fields[k])
-        reasons[k] = f"expected {width} fields, got {fields}" if fields != width else "non-numeric field"
+        if records.open_quote[k]:
+            reasons[k] = "quoted cell runs past the end of its line"
+        else:
+            reasons[k] = f"expected {width} fields, got {fields}" if fields != width else "non-numeric field"
     for k in np.flatnonzero(~ok).tolist():
         reasons[int(numeric[k])] = "phase is not finite" if not phase_ok[k] else f"S = {float(s[k]):g} out of range [0, 1]"
     rejects = "".join([
-        _REJECT_LINE.writerow((int(records.line[k]), reasons[k], _ROW_TEXT.writerow(records.cells(k))))
+        _REJECT_LINE.writerow((first + k, reasons[k], _ROW_TEXT.writerow(records.cells(k))))
         for k in sorted(reasons)
     ])
 
     derived = quantifier_table(x[ok], s[ok])
     echoed = [table[ok]] + ([x[ok]] if mode == "vector" else [])
     output = np.column_stack(echoed + list(derived.values()))
-    return format_csv(output), rejects, len(reasons), len(output), records.end
+    return format_csv(output), rejects, len(reasons), len(output)
 
 
-def _write_ingest(fh, data: bytes, bounds: np.ndarray, first: int, mode: str) -> tuple[int, list[str], int]:
-    """Ingest file lines first..len(bounds) - 1 of `data`, line k being
-    data[bounds[k - 1]:bounds[k]], and write their rows to `fh` in order; returns
-    (accepted count, the rejects' CSV text in line order, reject count).
+def _write_ingest(fh, data: bytes, bounds: np.ndarray, mode: str) -> tuple[int, list[str], int]:
+    """Ingest the lines after the header, line 1 of `data`, line k being
+    data[bounds[k - 1]:bounds[k]], and write their rows to `fh` in order;
+    returns (accepted count, the rejects' CSV text in line order, reject count).
 
-    Each slice of ROWS_PER_CHUNK lines is one job, read from its first line.
-    If a record ran on to line e, write drops a slice that ends by line e
-    and reads the slice holding line e again from line e + 1.
+    Each slice of ROWS_PER_CHUNK lines is one `_ingest_slice` job.
     """
     lines = len(bounds) - 1
-    slices = [(a, min(a + ROWS_PER_CHUNK - 1, lines)) for a in range(first, lines + 1, ROWS_PER_CHUNK)]
-    accepted, rejects, rejected, reached = 0, [], 0, first - 1  # reached: the line the last record read ended on
+    slices = [(a, min(a + ROWS_PER_CHUNK - 1, lines)) for a in range(2, lines + 1, ROWS_PER_CHUNK)]
+    accepted, rejects, rejected = 0, [], 0
 
-    def job(i: int):
-        try:
-            return _ingest_slice(data, bounds, *slices[i], mode)
-        except ValueError as exc:  # for write to raise or drop: a slice begun inside a record may fail
-            return exc
+    def job(i: int) -> tuple[str, str, int, int]:
+        return _ingest_slice(data, bounds, *slices[i], mode)
 
-    def write(i: int, outcome) -> None:
-        nonlocal accepted, rejected, reached
-        head, last = slices[i]
-        if reached >= last:
-            return
-        if reached >= head:
-            outcome = _ingest_slice(data, bounds, reached + 1, last, mode)
-        elif isinstance(outcome, ValueError):
-            raise outcome
-        text, reject_text, reject_count, count, reached = outcome
+    def write(i: int, outcome: tuple[str, str, int, int]) -> None:
+        nonlocal accepted, rejected
+        text, reject_text, reject_count, count = outcome
         fh.write(text)
         accepted += count
         rejects.append(reject_text)
@@ -373,28 +364,27 @@ def _write_ingest(fh, data: bytes, bounds: np.ndarray, first: int, mode: str) ->
 def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     """Process a measured-data file; returns (accepted, rejected) counts.
 
-    Accepted rows are echoed with the derived quantifiers appended; rejected
-    rows go to `<out>.rejects.csv` with the file line their record starts on,
-    the reason and the row's cells as one CSV-encoded field. A run without
-    rejects removes any rejects file an earlier run left. A `row` field can
-    exceed csv's default 131072-character field limit even when every cell
-    of the input row fits, so reading the rejects file back may need
-    `csv.field_size_limit` raised. Input that is not UTF-8, that holds a NUL
-    byte, or a record the CSV parser cannot read (an over-long cell, say),
-    fails the whole run and leaves the outputs as they were; so does an
-    output or rejects path that is the input file, before it is read.
+    Each line is one record. Accepted rows are echoed with the derived
+    quantifiers appended; rejected rows go to `<out>.rejects.csv` with their
+    file line, the reason and the row's cells as one CSV-encoded field. A
+    line whose quoted cell is still open at its end is rejected, its cells
+    read from that line alone. A run without rejects removes any rejects
+    file an earlier run left. A `row` field can exceed csv's default
+    131072-character field limit even when every cell of the input row
+    fits, so reading the rejects file back may need `csv.field_size_limit`
+    raised. Input that is not UTF-8, that holds a NUL byte, or a line the
+    CSV parser cannot read (an over-long cell, say), fails the whole run and
+    leaves the outputs as they were; so does an output or rejects path that
+    is the input file, before it is read.
 
     The parent reads the input, indexes where its lines lie
     (`csvfloat.line_bounds`), checks it is UTF-8 without NUL bytes and
-    checks the header. The lines after it are cut into slices of ROWS_PER_CHUNK lines,
-    each read (`csvfloat.parse_csv`: quote-free lines by numpy and a decimal
-    kernel, the rest by csv.reader, undecided cells by float()), checked,
-    evaluated and formatted as one `_ordered_map` job, so on more than one
-    CPU in forked workers; a job also encodes its rejects, and the parent
-    only writes the slices' text in order. A job reads its slice from its
-    first line; after a quoted record with a line break that ran past it,
-    the parent reads the slice again, so the cuts and the CPU count do not
-    change the output.
+    checks the header, line 1. The lines after it are cut into slices of
+    ROWS_PER_CHUNK lines, each read (`csvfloat.parse_csv`: quote-free lines
+    by numpy and a decimal kernel, the rest by csv.reader, undecided cells by
+    float()), checked, evaluated and formatted as one `_ordered_map` job, so
+    on more than one CPU in forked workers; a job also encodes its rejects,
+    and the parent only writes the slices' text in order.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")
@@ -413,13 +403,14 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     if nul >= 0:  # csv rejects it on some Pythons and reads it as a character on others
         raise ValueError(f"line {np.searchsorted(bounds, nul, 'right')} contains a NUL byte")
     head = parse_csv(data, bounds, 1, 1, len(header))
-    if not len(head.line) or [c.strip() for c in head.cells(0)] != header:
-        raise ValueError(f"expected header {','.join(header)!r} in {mode} mode")
+    if not len(head.fields) or head.open_quote[0] or [c.strip() for c in head.cells(0)] != header:
+        bom = " (the file starts with a UTF-8 byte order mark)" if data.startswith(b"\xef\xbb\xbf") else ""
+        raise ValueError(f"expected header {','.join(header)!r} in {mode} mode{bom}")
 
     out_header = ",".join([*header, *(["x_rad"] if mode == "vector" else []), *QUANTIFIER_NAMES[1:]]) + "\n"
     with _replaced_on_success(out_path) as fh:
         fh.write(out_header)
-        accepted, rejects, rejected = _write_ingest(fh, data, bounds, head.end + 1, mode)
+        accepted, rejects, rejected = _write_ingest(fh, data, bounds, mode)
         # Inside the output's block: a failure while writing rejects discards the new output too.
         if rejected:
             with _replaced_on_success(rejects_path) as rejects_fh:

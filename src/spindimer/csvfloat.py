@@ -28,13 +28,14 @@ Python with "%-24.17g", at most 24 characters, and dropped into the same
 slots with its padding masked.
 
 Reading: `line_bounds` finds where csv's lines start and end, and
-`parse_csv` reads the records of a run of them as `csv.reader` does and
-the value of each cell as `float()` does; see its docstring.
+`parse_csv` reads a run of them, one record per line, as `csv.reader`
+does and the value of each cell as `float()` does; see its docstring.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -449,33 +450,34 @@ def line_bounds(data: bytes) -> np.ndarray:
 
 
 class CsvRecords(NamedTuple):
-    """The records of a run of lines, in order, as `parse_csv` reads them."""
+    """The records of a run of lines, one per line, as `parse_csv` reads them."""
 
-    line: np.ndarray  # the file line each starts on
-    fields: np.ndarray  # how many cells it has
-    values: np.ndarray  # (records, width): float() of its cells, where `numeric`
-    numeric: np.ndarray  # whether it has `width` cells and float() reads each one
-    end: int  # the file line the last record ended on
-    cells: Callable[[int], list[str]]  # record i's cells, as csv reads them
+    fields: np.ndarray  # how many cells each has
+    values: np.ndarray  # (lines, width): float() of its cells, where `numeric`
+    numeric: np.ndarray  # whether it has `width` cells, no open quote, and float() reads each one
+    open_quote: np.ndarray  # whether a quoted cell is still open at its line's end
+    cells: Callable[[int], list[str]]  # line i's cells, as csv reads them
 
 
 def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int) -> CsvRecords:
-    """The records that start on file lines first..last of `data` (fewer
-    at its end), line k being data[bounds[k - 1]:bounds[k]] as
-    `line_bounds` finds it, and line `first` starting a record; what
-    csv.reader and float() make of them.
+    """The records on file lines first..last of `data` (fewer at its end),
+    one record per line, line k being data[bounds[k - 1]:bounds[k]] as
+    `line_bounds` finds it; what csv.reader and float() make of them.
 
-    A line without a '"' byte, no longer than csv.field_size_limit(), is one
-    record whose cells lie between its commas; numpy finds the commas in the
-    lines' bytes, and csv reads them so too (an empty line is a record of no
-    cells). Any other line is read by csv.reader from the line it starts on,
-    one record at a time, one reader for as long as records start on such
-    lines. A reader takes the lines data[bounds[k - 1]:bounds[k]] from that
-    line on, decoded, each with its terminator, as a file opened with
-    newline="" gives them; such a record may take the lines after it, past
-    `last` too, and the next record starts on the line after it. So every
-    record starts where csv, reading from line `first`, starts one. A record
-    csv cannot parse is a ValueError naming its line.
+    A line without a '"' byte, no longer than csv.field_size_limit(), has
+    its cells between its commas; numpy finds the commas in the lines'
+    bytes, and csv reads them so too (an empty line is a record of no
+    cells). csv.reader reads every other line: one reader for each run of
+    such lines, fed the run's lines data[bounds[k - 1]:bounds[k]], decoded,
+    each with its terminator, as a file opened with newline="" gives them,
+    and then "". A record that takes more than its own line (that "" too)
+    had a quoted cell still open at its line's end. That line, and each
+    line after it the cell took but the last, is read again alone, without
+    its terminator, so no cell holds a line break; read alone, a line whose
+    quoted cell is still open at its end takes the "" after it, and is
+    `open_quote`. A new reader starts on the last line the cell took, so no
+    line is read more than three times. A line csv cannot parse alone (a
+    cell over its field limit) is a ValueError naming it.
 
     The cells of each record with `width` cells are read by `_decimals`;
     each cell it does not decide goes to float(), and a ValueError there
@@ -523,37 +525,39 @@ def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int
     special = content_end - line_start > csv.field_size_limit()
     special[np.searchsorted(line_end, np.flatnonzero(raw == ord('"')), "right")] = True
 
-    # csv reads the records that start on special lines, each taking its line
-    # and maybe more: one reader from the first line of a run of them, on
-    # while the next record starts on a special line.
-    special_line = special.tolist()
+    # csv reads each run of special lines with one reader, for as long as
+    # each record takes one line.
     read: dict[int, list[str]] = {}
-    covered = np.zeros(lines + 1, np.intp)  # +1 where a run of csv records starts, -1 after it
-    end = first + lines - 1
-    i = 0
-    for run in np.flatnonzero(special).tolist():
-        if run < i:  # inside a record already read
-            continue
-        i = run
-        edges = memoryview(bounds)[first + run - 1:]  # Python ints, read as the reader needs them
-        reader = csv.reader(map(bytes.decode, map(data.__getitem__, map(slice, edges, edges[1:]))))
-        while i < lines and special_line[i]:
-            try:
-                read[i] = next(reader)
-            except csv.Error as exc:
-                raise ValueError(f"unreadable CSV record on line {first + i}: {exc}") from None
-            i = run + reader.line_num
-        covered[run] += 1
-        covered[min(i, lines)] -= 1
-        if i >= lines:
-            end = first + i - 1
-            break
-    plain = np.cumsum(covered[:lines]) == 0
+    open_quote = np.zeros(lines, bool)
+    runs = np.flatnonzero(np.diff(special, prepend=False, append=False)).tolist()
+    for i, stop in zip(runs[::2], runs[1::2]):
+        while i < stop:
+            edges = memoryview(bounds)[first + i - 1:first + stop]  # Python ints, read as the reader needs them
+            reader = csv.reader(chain(map(bytes.decode, map(data.__getitem__, map(slice, edges, edges[1:]))), [""]))
+            base = i
+            while i < stop:
+                try:
+                    read[i] = next(reader)
+                    took = base + reader.line_num - i  # the lines record i took
+                except csv.Error:  # on line i, or on a line its open cell ran on to: read alone below
+                    took = max(base + reader.line_num - i, 2)
+                if took > 1:
+                    break
+                i += 1
+            end = min(i + took - 1, stop)  # the line the next reader starts on
+            for j in range(i, end):
+                alone = csv.reader([data[start + line_start[j]:start + content_end[j]].decode(), ""])
+                try:
+                    read[j] = next(alone)
+                except csv.Error as exc:
+                    raise ValueError(f"unreadable CSV record on line {first + j}: {exc}") from None
+                open_quote[j] = alone.line_num > 1
+            i = end
     fields[list(read)] = [len(row) for row in read.values()]
 
     values = np.zeros((lines, width))
     numeric = np.zeros(lines, bool)
-    rows = plain & (fields == width)
+    rows = ~special & (fields == width)
     if rows.any():
         cells = rows[field_line]
         cell_start = np.concatenate(([0], after))[:-1][cells]
@@ -579,17 +583,12 @@ def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int
                 continue
             parsed.append(i)
     values[parsed] = np.reshape(floats, (-1, width))
-    numeric[parsed] = True
+    numeric[parsed] = ~open_quote[parsed]
 
-    starts_record = plain
-    starts_record[list(read)] = True
-    records = np.flatnonzero(starts_record)
-
-    def cells_of(r: int) -> list[str]:
-        i = int(records[r])
+    def cells_of(i: int) -> list[str]:
         if i in read:
             return read[i]
         text = data[start + line_start[i]:start + content_end[i]].decode("utf-8")
         return text.split(",") if fields[i] else []
 
-    return CsvRecords(first + records, fields[records], values[records], numeric[records], end, cells_of)
+    return CsvRecords(fields, values, numeric, open_quote, cells_of)

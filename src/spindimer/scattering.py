@@ -43,12 +43,12 @@ def scattering_phase(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> float:
 
     r1 and r2 are the positions of the two magnetic centers, in the inverse
     of the unit of the wave vector q. All three are finite 3-vectors,
-    checked as the structure factors check them.
+    checked as the structure factors check them, and so is the phase.
     """
     q, r1, r2 = _geometry(q, r1, r2)
     if q.shape != (3,):
         raise ValueError(f"q must be a 3-vector, got shape {q.shape}")
-    return float(scattering_phases(q[None], r1[None], r2[None])[0])
+    return float(_finite(scattering_phases(q[None], r1[None], r2[None])[0], "q . (r1 - r2)"))
 
 
 def scattering_phases(q: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:

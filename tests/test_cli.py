@@ -27,6 +27,9 @@ from spindimer.scattering import scattering_phase, scattering_phases
 TWO_PI = 2.0 * np.pi
 # Golden outputs written by the row-at-a-time implementation this CSV path replaced.
 DATA = Path(__file__).parent / "data"
+OPEN_QUOTE = "quoted cell runs past the end of its line"
+# Lines 2, 3 and 5 hold a quoted cell still open at their end.
+OPEN_QUOTES = 'x_rad,S\n"1.0\n",0.5\nabc,0.5\n"2.0,\n0.5"\n3.0,7\n0.25,"0.5"\n'
 
 
 def read_rejects(path):
@@ -285,6 +288,23 @@ class TestReport:
         assert captured.err == "error: --degrees applies to --x only\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--x", "1", "--r1", "1,0,0", "--r2", "0,0,0"], "give either --x or --q/--r1/--r2, not both"),
+        (["--x", "1", "--r2", "0,0,0"], "give either --x or --q/--r1/--r2, not both"),
+        (["--x", "1", "--q", "1,0,0", "--r1", "1,0,0", "--r2", "0,0,0"], "give either --x or --q/--r1/--r2, not both"),
+        (["--r1", "1,0,0", "--r2", "0,0,0"], "--r1 and --r2 require --q"),
+        (["--r1", "1,0,0"], "--r1 and --r2 require --q"),
+        (["--q", "1,0,0", "--r1", "1,0,0"], "--q requires --r1 and --r2"),
+        ([], "one of --x or --q/--r1/--r2 is required"),
+    ])
+    def test_point_options_are_given_whole_or_not_at_all(self, capsys, argv, message):
+        assert main(["report", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_an_overflowing_phase_names_the_phase(self, capsys):
+        assert main(["report", "--q", "1e200,0,0", "--r1", "1e200,0,0", "--r2", "0,0,0"]) == 1
+        assert capsys.readouterr() == ("", "error: q . (r1 - r2) must be finite\n")
+
     def test_thermal_block(self):
         report = self.run_json([
             "report", "--x", "1.0", "--coupling", "1.0", "--temperature", "2.0",
@@ -479,6 +499,16 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--mode", "scalar",
                      "--out", str(tmp_path / "out.csv")]) == 1
 
+    @pytest.mark.parametrize("mode", ["scalar", "vector"])
+    def test_a_byte_order_mark_is_named_in_the_header_error(self, tmp_path, capsys, mode):
+        header = ",".join(cli.SCALAR_HEADER if mode == "scalar" else cli.VECTOR_HEADER)
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"\xef\xbb\xbf" + header.encode() + b"\n")
+        assert main(["ingest", "--input", str(src), "--mode", mode, "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: expected header {header!r} in {mode} mode (the file starts with a UTF-8 byte order mark)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
     def test_missing_input_is_an_io_failure(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "none.csv"), "--mode", "scalar",
                      "--out", str(tmp_path / "out.csv")]) == 2
@@ -584,17 +614,30 @@ class TestIngest:
             assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
-    def test_rejects_carry_the_line_a_multi_line_record_starts_on(self, tmp_path):
+    def test_an_open_quote_rejects_its_line_alone(self, tmp_path):
         src = tmp_path / "in.csv"
         out = tmp_path / "out.csv"
-        self.write(src, 'x_rad,S\n"1.0\n",0.5\nabc,0.5\n"2.0,\n0.5"\n3.0,7\n')
+        self.write(src, OPEN_QUOTES)
         assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
-        rejects = read_rejects(tmp_path / "out.csv.rejects.csv")
-        assert [(line, reason) for line, reason, _ in rejects[1:]] == [
-            ("4", "non-numeric field"), ("5", "expected 2 fields, got 1"), ("7", "S = 7 out of range [0, 1]"),
+        assert read_rejects(tmp_path / "out.csv.rejects.csv")[1:] == [
+            ["2", OPEN_QUOTE, "1.0"], ["3", OPEN_QUOTE, '",0.5"'], ["4", "non-numeric field", "abc,0.5"],
+            ["5", OPEN_QUOTE, '"2.0,"'], ["6", "expected 2 fields, got 1", '"0.5"""'],
+            ["7", "S = 7 out of range [0, 1]", "3.0,7"],
         ]
         _, rows = read_csv(out)
-        assert [row[:2] for row in rows] == [[1.0, 0.5]]
+        assert [row[:2] for row in rows] == [[0.25, 0.5]]
+
+    def test_a_stray_quote_takes_only_its_own_line(self, tmp_path, capsys):
+        # Read on past its line, the cell the quote on line 3 opens would
+        # hold every later line, past csv's 131072-character field limit.
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        rows = [f"{i * 1e-4!r},0.5" for i in range(20002)]
+        rows[1] = '"' + rows[1]
+        self.write(src, "x_rad,S\n" + "\n".join(rows) + "\n")
+        assert main(["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "accepted 20001 rows, rejected 1 rows"
+        assert read_rejects(tmp_path / "out.csv.rejects.csv")[1:] == [["3", OPEN_QUOTE, '"0.0001,0.5"']]
 
     def test_over_long_cell_is_a_validation_failure_naming_its_line(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -838,9 +881,8 @@ class TestParallelWriter:
 class TestIngestSlices:
     """Ingest cuts its input into slices of ROWS_PER_CHUNK lines and runs
     each as one job. With slices a line or a few long, every input here
-    crosses many slice ends, and a multi-line record across one makes ingest
-    read the next slice from the line after it; the outputs must equal those
-    of the whole file read as one slice in-process.
+    crosses many slice ends; the outputs must equal those of the whole file
+    read as one slice in-process.
     """
 
     def ingest(self, monkeypatch, src, cpus, rows_per_chunk, mode="scalar"):
@@ -860,104 +902,84 @@ class TestIngestSlices:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
-    def test_a_record_across_a_slice_end_resumes_after_it(self, tmp_path, monkeypatch, forks,
+    def test_an_open_quote_is_one_line_at_every_slice_size(self, tmp_path, monkeypatch, forks,
                                                          cpus, rows_per_chunk, ending):
-        lines, record_ends, line = ["x_rad,S"], {}, 2  # record_ends: a multi-line record's end line -> its start line
+        lines = ["x_rad,S"]
         for i in range(40):
             if i % 9 == 3:
-                lines.append(f'"{i * 0.1!r}{ending}",0.5')  # two lines, accepted
-                record_ends[line + 1] = line
+                lines.append(f'"{i * 0.1!r}{ending}",0.5')  # two lines, each with an open quote
             elif i % 9 == 6:
-                lines.append(f'"{i},{ending}{ending}0.5"')  # three lines, one field
-                record_ends[line + 2] = line
+                lines.append(f'"{i},{ending}{ending}0.5"')  # an open quote, an empty line, one field
             elif i % 13 == 4:
                 lines.append(f"{i},bad")
+            elif i % 11 == 5:
+                lines.append(f'"{i * 0.1!r}",0.25')  # a quoted cell closed on its line, accepted
             else:
                 lines.append(f"{i * 0.1!r},{(i % 5) / 4!r}")
-            line += 1 + lines[-1].count(ending)
-        data = (ending.join(lines) + ending).encode()
         src = tmp_path / "in.csv"
-        src.write_bytes(data)
-        line_starts = [0] + [m.end() for m in re.finditer(re.escape(ending.encode()), data)]
+        src.write_bytes((ending.join(lines) + ending).encode())
         want = self.ingest(monkeypatch, src, 1, 10**9)
         reads = []
         ingest_slice = cli._ingest_slice
 
         def record_reads(data, bounds, first, last, mode):
-            reads.append((int(bounds[first - 1]), first))  # only reads in this process: forked jobs record in their copy
+            reads.append((first, last))  # only reads in this process: forked jobs record in their copy
             return ingest_slice(data, bounds, first, last, mode)
 
         monkeypatch.setattr(cli, "_ingest_slice", record_reads)
         code, out, rejects = self.ingest(monkeypatch, src, cpus, rows_per_chunk)
         assert (code, out, rejects) == want and code == 0
-        # A slice that began inside a multi-line record is read from the line
-        # after it, unless the record covered the whole slice, as every
-        # crossing one does with one-line slices. Each read starts at the
-        # byte of its line, in file order, and no line is read from twice.
-        heads = [(line_starts[first - 1], first) for first in range(2, len(line_starts), rows_per_chunk)]
-        resumed = [read for read in reads if read not in heads]
-        assert reads == sorted(set(reads)) and all(start == line_starts[first - 1] for start, first in reads)
-        assert bool(resumed) == (rows_per_chunk > 1)
-        assert all(first - 1 in record_ends for _, first in resumed)
-        if cpus == 1:
-            # Every job runs here and reads its slice from the slice's first
-            # line, in order; then the parent reads each slice that began
-            # inside a record again from the line after it, unless the record
-            # covered the slice.
-            assert [read for read in reads if read in heads] == heads
-            lines_in_file = len(line_starts) - 1
-            rereads = []
-            for end, start in sorted(record_ends.items()):
-                head = 2 + (end - 2) // rows_per_chunk * rows_per_chunk  # of the slice holding line `end`
-                if start < head and end < min(head + rows_per_chunk - 1, lines_in_file):
-                    rereads.append((line_starts[end], end + 1))
-            assert resumed == rereads
-        else:
-            # Only the parent's re-reads run here.
-            assert resumed == reads
+        # Each slice is read once, from its first line: here on one CPU, in the workers on more.
+        slices = [(first, min(first + rows_per_chunk - 1, 54)) for first in range(2, 55, rows_per_chunk)]
+        assert reads == (slices if cpus == 1 else [])
         assert len(forks) == (cpus if cpus > 1 else 0)
         assert parse_rejects(rejects) == [
-            ["7", "non-numeric field"], ["9", "expected 2 fields, got 1"], ["21", "expected 2 fields, got 1"],
-            ["25", "non-numeric field"], ["33", "expected 2 fields, got 1"], ["45", "expected 2 fields, got 1"],
+            ["5", OPEN_QUOTE], ["6", OPEN_QUOTE], ["7", "non-numeric field"], ["9", OPEN_QUOTE],
+            ["10", "expected 2 fields, got 0"], ["11", "expected 2 fields, got 1"], ["17", OPEN_QUOTE],
+            ["18", OPEN_QUOTE], ["21", OPEN_QUOTE], ["22", "expected 2 fields, got 0"],
+            ["23", "expected 2 fields, got 1"], ["25", "non-numeric field"], ["29", OPEN_QUOTE], ["30", OPEN_QUOTE],
+            ["33", OPEN_QUOTE], ["34", "expected 2 fields, got 0"], ["35", "expected 2 fields, got 1"],
+            ["41", OPEN_QUOTE], ["42", OPEN_QUOTE], ["45", OPEN_QUOTE], ["46", "expected 2 fields, got 0"],
+            ["47", "expected 2 fields, got 1"], ["53", OPEN_QUOTE], ["54", OPEN_QUOTE],
         ]
+        assert out.count(b"\n") == 1 + 40 - 5 - 4 - 2
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("header", [b'"x_rad\n",S\n', b'x_rad,"S\n', b'x_rad,"S\r'])
+    def test_a_header_with_an_open_quote(self, tmp_path, monkeypatch, capsys, forks, header):
+        src = tmp_path / "in.csv"
+        src.write_bytes(header + b"1.0,0.5\n2.0,0.25\n")
+        assert self.ingest(monkeypatch, src, 2, 1) == (1, None, None)
+        assert capsys.readouterr().err == "error: expected header 'x_rad,S' in scalar mode\n"
+        assert forks == []
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
-    def test_a_header_record_across_two_lines(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
+    def test_an_unclosed_quote_is_one_reject(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
         src = tmp_path / "in.csv"
-        src.write_bytes(b'"x_rad\n",S\n1.0,0.5\n"2.0\n",0.25\nabc,0.5\n3.0,0.75\n')
+        src.write_bytes(b'x_rad,S\n1.0,0.5\n2.0,0.25\n"3.0,\n0.5\n4.0,0.5\n"5.0')
         code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
-        assert code == 0 and parse_rejects(rejects) == [["6", "non-numeric field"]]
+        assert code == 0 and parse_rejects(rejects) == [
+            ["4", OPEN_QUOTE], ["5", "expected 2 fields, got 1"], ["7", OPEN_QUOTE],
+        ]
         assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [
-            ["1", "0.5"], ["2", "0.25"], ["3", "0.75"],
+            ["1", "0.5"], ["2", "0.25"], ["4", "0.5"],
         ]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
-    def test_an_unclosed_quote_runs_to_the_end_of_the_file(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
-        # The quoted record crosses every later slice end, so the resume starts at the end of the data.
-        src = tmp_path / "in.csv"
-        src.write_bytes(b'x_rad,S\n1.0,0.5\n2.0,0.25\n"3.0,\n0.5\n4.0,0.5\n5.0')
-        code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
-        assert code == 0 and parse_rejects(rejects) == [["4", "expected 2 fields, got 1"]]
-        assert len(out.splitlines()) == 3
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
-    def test_a_slice_that_began_inside_a_record_does_not_fail_the_run(self, tmp_path, monkeypatch, cpus,
-                                                                      rows_per_chunk):
-        # With two-line slices the second begins on line 4, inside the quoted
-        # record on lines 3-4. Read from there, its quote opens a cell that
-        # runs over lines 5 and 6, 140000 characters, past csv's cell limit;
-        # read from the top, they are two rows whose x is 70001 characters.
+    def test_lines_after_an_open_quote_are_records(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
+        # Read on from line 3 or 4, the quoted cell would take lines 5 and
+        # 6, 140000 characters, past csv's cell limit; each is a row whose x
+        # is 70001 characters.
         src = tmp_path / "in.csv"
         long_row = b"1." + b"0" * 69999 + b",0.5\n"
         src.write_bytes(b'x_rad,S\n0.5,0.5\n"1.0\n",0.5\n' + long_row * 2 + b"2.0,0.25\n")
         code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
-        assert (code, rejects) == (0, None)
+        assert code == 0 and parse_rejects(rejects) == [["3", OPEN_QUOTE], ["4", OPEN_QUOTE]]
         assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [
-            ["0.5", "0.5"], ["1", "0.5"], ["1", "0.5"], ["1", "0.5"], ["2", "0.25"],
+            ["0.5", "0.5"], ["1", "0.5"], ["1", "0.5"], ["2", "0.25"],
         ]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -986,15 +1008,16 @@ class TestIngestSlices:
         assert len(forks) == cpus
 
     @pytest.mark.parametrize("cpus, rows_per_chunk", [(2, 1), (3, 1), (3, 2)])
-    def test_rejects_carry_the_line_a_multi_line_record_starts_on(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
+    def test_open_quotes_from_small_slices(self, tmp_path, monkeypatch, cpus, rows_per_chunk):
         src = tmp_path / "in.csv"
-        src.write_text('x_rad,S\n"1.0\n",0.5\nabc,0.5\n"2.0,\n0.5"\n3.0,7\n', encoding="utf-8", newline="\n")
+        src.write_text(OPEN_QUOTES, encoding="utf-8", newline="\n")
         code, out, rejects = self.assert_matches_one_slice(monkeypatch, src, cpus, rows_per_chunk)
         assert code == 0
         assert parse_rejects(rejects) == [
-            ["4", "non-numeric field"], ["5", "expected 2 fields, got 1"], ["7", "S = 7 out of range [0, 1]"],
+            ["2", OPEN_QUOTE], ["3", OPEN_QUOTE], ["4", "non-numeric field"], ["5", OPEN_QUOTE],
+            ["6", "expected 2 fields, got 1"], ["7", "S = 7 out of range [0, 1]"],
         ]
-        assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [["1", "0.5"]]
+        assert [line.split(",")[:2] for line in out.decode().splitlines()[1:]] == [["0.25", "0.5"]]
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_over_long_cell_is_a_validation_failure_naming_its_line(self, tmp_path, monkeypatch, capsys, forks, cpus):
@@ -1031,32 +1054,32 @@ class TestIngestSlices:
 
 
 def reference_slice(data, bounds, first, last, mode):
-    """What cli._ingest_slice returns for a slice, computed as ingest read
-    slices before its reading kernel: csv.reader over the text from line
-    `first`, which starts at byte bounds[first - 1], float() on every cell,
+    """What cli._ingest_slice returns for a slice, computed one line at a
+    time: each of lines first..last, split from the text at byte
+    bounds[first - 1] on as a file opened with newline="" splits it, read by
+    a csv.reader of its own without its terminator, float() on every cell,
     and each reject's cells CSV-encoded on their own."""
     width = len(cli.SCALAR_HEADER if mode == "scalar" else cli.VECTOR_HEADER)
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data[bounds[first - 1]:]), encoding="utf-8", newline=""))
+    lines = io.TextIOWrapper(io.BytesIO(data[bounds[first - 1]:]), encoding="utf-8", newline="")
     rejected, parsed_lines, parsed_cells, values = [], [], [], []
-    end = line_no = first
-    try:
-        for row in reader:
-            end = first - 1 + reader.line_num
-            if len(row) != width:
-                rejected.append((line_no, f"expected {width} fields, got {len(row)}", row))
+    for line_no, line in zip(range(first, last + 1), lines):
+        reader = csv.reader([line.rstrip("\r\n"), ""])  # a quoted cell open at the end takes the ""
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            raise ValueError(f"unreadable CSV record on line {line_no}: {exc}") from None
+        if reader.line_num > 1:
+            rejected.append((line_no, "quoted cell runs past the end of its line", row))
+        elif len(row) != width:
+            rejected.append((line_no, f"expected {width} fields, got {len(row)}", row))
+        else:
+            try:
+                values += [float(cell) for cell in row]
+            except ValueError:
+                rejected.append((line_no, "non-numeric field", row))
             else:
-                try:
-                    values += [float(cell) for cell in row]
-                except ValueError:
-                    rejected.append((line_no, "non-numeric field", row))
-                else:
-                    parsed_lines.append(line_no)
-                    parsed_cells.append(row)
-            if end >= last:
-                break
-            line_no = end + 1
-    except csv.Error as exc:
-        raise ValueError(f"unreadable CSV record on line {line_no}: {exc}") from None
+                parsed_lines.append(line_no)
+                parsed_cells.append(row)
 
     table = np.array(values, dtype=float).reshape(-1, width)
     s = table[:, -1]
@@ -1075,7 +1098,7 @@ def reference_slice(data, bounds, first, last, mode):
         csv.writer(rejects, lineterminator="\n").writerow((line, reason, row.getvalue()))
     derived = quantifiers.quantifier_table(x[ok], s[ok])
     output = np.column_stack([table[ok]] + ([x[ok]] if mode == "vector" else []) + list(derived.values()))
-    return percent_17g(output), rejects.getvalue(), len(rejected), len(output), end
+    return percent_17g(output), rejects.getvalue(), len(rejected), len(output)
 
 
 def slice_outcome(reader, data, bounds, first, last, mode):
@@ -1100,7 +1123,7 @@ QUOTED_CELLS = st.text(alphabet='0.5,"\n\r', max_size=6).map(lambda t: '"' + t.r
 @st.composite
 def csv_slices(draw):
     """(data, bounds, first, last, mode): mixed CSV lines, their line index,
-    and a run of them that begins on a record."""
+    and a run of them."""
     mode = draw(st.sampled_from(["scalar", "vector"]))
     width = 2 if mode == "scalar" else 10
     s_cell = st.floats(0.0, 1.0).map(repr)
@@ -1116,13 +1139,8 @@ def csv_slices(draw):
     data = text.encode("utf-8")
     bounds = csvfloat.line_bounds(data)
     lines = len(bounds) - 1
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    record_starts, line = [], 1
-    for _ in reader:
-        record_starts.append(line)
-        line = reader.line_num + 1
-    assume(record_starts)
-    first = draw(st.sampled_from(record_starts))
+    assume(lines)
+    first = draw(st.integers(1, lines))
     last = draw(st.integers(first, lines))
     return data, bounds, first, last, mode
 
@@ -1130,7 +1148,7 @@ def csv_slices(draw):
 class TestSliceReader:
     """cli._ingest_slice reads quote-free lines with numpy and csvfloat's
     decimal kernel; every slice must come out as csv.reader and float()
-    read it, the whole returned tuple equal."""
+    read its lines one at a time, the whole returned tuple equal."""
 
     @settings(max_examples=200, deadline=None)
     @given(csv_slices())
@@ -1138,12 +1156,12 @@ class TestSliceReader:
         assert slice_outcome(cli._ingest_slice, *case) == slice_outcome(reference_slice, *case)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
-    def test_a_record_across_the_last_line(self, ending):
+    def test_an_open_quote_on_the_last_line(self, ending):
         data = ending.join(["0.5,0.5", '"1.0', '",0.25', "abc,0.5", "0.75,1"]).encode()
         bounds = csvfloat.line_bounds(data)
         want = reference_slice(data, bounds, 1, 2, "scalar")
         assert cli._ingest_slice(data, bounds, 1, 2, "scalar") == want
-        assert want[1:] == ("", 0, 2, 3)  # the quoted record, lines 2-3, runs past line 2
+        assert want[1:] == ("2,quoted cell runs past the end of its line,1.0\n", 1, 1)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_a_slice_that_begins_on_an_empty_line(self, ending):
@@ -1153,7 +1171,7 @@ class TestSliceReader:
         bounds = csvfloat.line_bounds(data)
         want = reference_slice(data, bounds, 2, 3, "scalar")
         assert cli._ingest_slice(data, bounds, 2, 3, "scalar") == want
-        assert want[1:] == ('2,"expected 2 fields, got 0",\n', 1, 1, 3)
+        assert want[1:] == ('2,"expected 2 fields, got 0",\n', 1, 1)
 
     def test_an_over_long_quote_free_cell(self):
         data = b"0.5,0.5\n0." + b"2" * 200_000 + b",0.5\n3.0,0.5\n"
@@ -1166,7 +1184,7 @@ class TestSliceReader:
             assert got == reference_slice(data, bounds, 1, 3, "scalar")
         finally:
             csv.field_size_limit(limit)
-        assert got[1:] == ("", 0, 3, 3) and got[0].splitlines()[1].startswith("0.22222222222222221,0.5,")
+        assert got[1:] == ("", 0, 3) and got[0].splitlines()[1].startswith("0.22222222222222221,0.5,")
 
     def test_bench_like_cells_go_through_the_kernel(self, monkeypatch):
         # Nearly every cell of repr-written rows is decided without float().

@@ -10,12 +10,14 @@ import csv
 import io
 import time
 from decimal import Decimal
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from spindimer import csvfloat
 from spindimer.csvfloat import _decimals, format_csv, line_bounds, parse_csv
 
 
@@ -319,33 +321,73 @@ def test_line_bounds_are_where_csv_lines_start(text):
     assert bounds[-1] == len(data)
 
 
-def csv_records(data: bytes, first: int):
-    """(start line, end line, cells) of each record csv.reader reads from
-    file line `first` of `data` on."""
+def is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_lines(data: bytes, first: int):
+    """(cells, open quote) of each line from file line `first` of `data` on,
+    each read by a csv.reader of its own without its terminator."""
     start = line_bounds(data)[first - 1]
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data[start:]), encoding="utf-8", newline=""))
-    records, line = [], first
-    for row in reader:
-        records.append((line, first + reader.line_num - 1, row))
-        line = first + reader.line_num
+    records = []
+    for line in io.TextIOWrapper(io.BytesIO(data[start:]), encoding="utf-8", newline=""):
+        reader = csv.reader([line.rstrip("\r\n"), ""])  # a quoted cell open at the end takes the ""
+        records.append((next(reader), reader.line_num > 1))
     return records
 
 
-@pytest.mark.parametrize("ending", ["\r\n", "\r"])
-def test_multi_line_quoted_records_read_as_csv_reads_them(ending):
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_quoted_lines_read_as_csv_reads_each_line_alone(ending):
     # Quoted cells that hold the file's own line ending, the other two, an
-    # empty line and a doubled quote, between plain rows and an empty line.
+    # empty line and a doubled quote, between plain rows and an empty line;
+    # and lines that open a quote read alone and keep it open read after one.
     rows = ['x,S', f'"1{ending}",0.5', '2,0.25', f'"{ending}{ending}",3', '', f'4,"a{ending}""b""{ending}c"',
-            '"5\n",6', '"7\r\n",8', f'"9,{ending}\r\n\n",10', '11,1', f'"12{ending}"']
+            '"5\n",6', '"7\r\n",8', f'"9,{ending}\r\n\n",10', '11,1', *['a"b,"c'] * 4, '"13",0.5', f'"12{ending}"']
     data = (ending.join(rows) + ending).encode()
     lines = len(line_bounds(data)) - 1
-    whole = csv_records(data, 1)
-    assert max(end - start for start, end, _ in whole) == 3
-    for first in [start for start, _, _ in whole]:
+    whole = csv_lines(data, 1)
+    assert sum(open_quote for _, open_quote in whole) == 17
+    for first in range(1, lines + 1):
         for last in range(first, lines + 1):
             records = parse_csv(data, line_bounds(data), first, last, 2)
-            want = [record for record in csv_records(data, first) if record[0] <= last]
-            assert records.line.tolist() == [start for start, _, _ in want]
-            assert [records.cells(r) for r in range(len(want))] == [cells for _, _, cells in want]
-            assert records.fields.tolist() == [len(cells) for _, _, cells in want]
-            assert records.end == want[-1][1]
+            want = whole[first - 1:last]
+            assert [records.cells(i) for i in range(len(want))] == [cells for cells, _ in want]
+            assert records.fields.tolist() == [len(cells) for cells, _ in want]
+            assert records.open_quote.tolist() == [open_quote for _, open_quote in want]
+            assert records.numeric.tolist() == [len(cells) == 2 and not open_quote and all(map(is_float, cells))
+                                                for cells, open_quote in want]
+
+
+def test_an_open_cell_past_the_field_limit_fails_no_line():
+    # Read on from line 1, the open cell takes "ab", the line end and
+    # "cdefgh,1" from line 2, past a limit of 10 characters; each line alone fits.
+    data = b'x,"ab\ncdefgh,"1"\n2,3\n'
+    limit = csv.field_size_limit(10)
+    try:
+        records = parse_csv(data, line_bounds(data), 1, 3, 2)
+    finally:
+        csv.field_size_limit(limit)
+    assert [records.cells(i) for i in range(3)] == [["x", "ab"], ["cdefgh", "1"], ["2", "3"]]
+    assert records.open_quote.tolist() == [True, False, False]
+    assert records.numeric.tolist() == [False, False, True]
+
+
+def test_open_quotes_read_each_line_a_few_times(monkeypatch):
+    # Each line opens a quoted cell when read alone and keeps one open when
+    # read after such a line. A reader restarted on the line after each
+    # open quote would be fed the run's lines about 1000**2 / 2 times.
+    data = b'a"b,"c\n' * 1000
+    fed = []
+
+    def reader(lines):
+        return csv.reader(fed.append(line) or line for line in lines)
+
+    monkeypatch.setattr(csvfloat, "csv", SimpleNamespace(reader=reader, Error=csv.Error,
+                                                         field_size_limit=csv.field_size_limit))
+    records = parse_csv(data, line_bounds(data), 1, 1000, 2)
+    assert records.open_quote.all() and records.cells(999) == ['a"b', "c"]
+    assert len(fed) <= 3 * 1000 + 1

@@ -240,3 +240,12 @@ class TestScatteringPhase:
         # One phase, so a stack of 3-vectors is rejected too, q included.
         with pytest.raises(ValueError, match=rf"^{name} must be a 3-vector, got shape \(2, 3\)$"):
             scattering_phase(**{**vectors, name: np.ones((2, 3))})
+
+    @pytest.mark.parametrize("q, r1, r2", [
+        ([1e200, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 0.0, 0.0]),  # the product overflows
+        ([1.0, 0.0, 0.0], [1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]),  # r1 - r2 overflows
+        ([1e301, 1e301, 0.0], [1e8, -1e8, 0.0], [0.0, 0.0, 0.0]),  # inf - inf
+    ])
+    def test_rejects_a_phase_that_is_not_finite(self, q, r1, r2):
+        with pytest.raises(ValueError, match=r"^q \. \(r1 - r2\) must be finite$"):
+            scattering_phase(np.array(q), np.array(r1), np.array(r2))
