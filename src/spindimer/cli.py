@@ -95,16 +95,24 @@ def _print(text: str) -> None:
 
 @contextmanager
 def _replaced_on_success(path: Path):
-    """Text handle on a sibling temp file that replaces `path` on a clean exit.
+    """Text handle on a temp file that replaces `path` on a clean exit.
 
-    On any exception the temp file is deleted and `path` is left as it was,
-    so an interrupted run never leaves a half-written output.
+    The temp file lies beside the file `path` resolves to, and replaces
+    that file, so a symlink stays a link. An existing `path` that is
+    neither a regular file nor a directory (a FIFO, a device) is refused
+    before anything is written; a directory fails where it is replaced, as
+    an I/O error. On any exception the temp file is deleted
+    and `path` is left as it was, so an interrupted run never leaves a
+    half-written output.
     """
-    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+    if path.exists() and not (path.is_file() or path.is_dir()):
+        raise ValueError(f"output {path} is not a regular file")
+    target = Path(os.path.realpath(path))
+    tmp = target.parent / f".{target.name}.{os.urandom(4).hex()}.tmp"
     try:
         with tmp.open("x", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -380,11 +388,12 @@ def run_ingest(input_path: Path, mode: str, out_path: Path) -> tuple[int, int]:
     The parent reads the input, indexes where its lines lie
     (`csvfloat.line_bounds`), checks it is UTF-8 without NUL bytes and
     checks the header, line 1. The lines after it are cut into slices of
-    ROWS_PER_CHUNK lines, each read (`csvfloat.parse_csv`: quote-free lines
-    by numpy and a decimal kernel, the rest by csv.reader, undecided cells by
-    float()), checked, evaluated and formatted as one `_ordered_map` job, so
-    on more than one CPU in forked workers; a job also encodes its rejects,
-    and the parent only writes the slices' text in order.
+    ROWS_PER_CHUNK lines, each read (`csvfloat.parse_csv`: lines whose quotes
+    sit at cell edges by numpy and a decimal kernel, each other quoted line
+    by csv.reader alone, undecided cells by float()), checked, evaluated and
+    formatted as one `_ordered_map` job, so on more than one CPU in forked
+    workers; a job also encodes its rejects, and the parent only writes the
+    slices' text in order.
     """
     header = SCALAR_HEADER if mode == "scalar" else VECTOR_HEADER
     rejects_path = out_path.with_name(out_path.name + ".rejects.csv")

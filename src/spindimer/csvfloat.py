@@ -29,13 +29,14 @@ slots with its padding masked.
 
 Reading: `line_bounds` finds where csv's lines start and end, and
 `parse_csv` reads a run of them, one record per line, as `csv.reader`
-does and the value of each cell as `float()` does; see its docstring.
+reads each line alone and the value of each cell as `float()` does: numpy
+splits the lines whose quotes all sit at cell edges, and csv reads each
+other quoted line alone; see its docstring.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -450,54 +451,55 @@ def line_bounds(data: bytes) -> np.ndarray:
 
 
 class CsvRecords(NamedTuple):
-    """The records of a run of lines, one per line, as `parse_csv` reads them."""
+    """The records of a run of lines, one per line, as `parse_csv` reads
+    them: what csv.reader makes of each line alone, without its terminator."""
 
     fields: np.ndarray  # how many cells each has
     values: np.ndarray  # (lines, width): float() of its cells, where `numeric`
     numeric: np.ndarray  # whether it has `width` cells, no open quote, and float() reads each one
     open_quote: np.ndarray  # whether a quoted cell is still open at its line's end
-    cells: Callable[[int], list[str]]  # line i's cells, as csv reads them
+    cells: Callable[[int], list[str]]  # line i's cells, as csv reads the line alone
 
 
 def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int) -> CsvRecords:
     """The records on file lines first..last of `data` (fewer at its end),
     one record per line, line k being data[bounds[k - 1]:bounds[k]] as
-    `line_bounds` finds it; what csv.reader and float() make of them.
+    `line_bounds` finds it; what csv.reader, fed that line alone without its
+    terminator, and float() make of them.
 
-    A line without a '"' byte, no longer than csv.field_size_limit(), has
-    its cells between its commas; numpy finds the commas in the lines'
-    bytes, and csv reads them so too (an empty line is a record of no
-    cells). csv.reader reads every other line: one reader for each run of
-    such lines, fed the run's lines data[bounds[k - 1]:bounds[k]], decoded,
-    each with its terminator, as a file opened with newline="" gives them,
-    and then "". A record that takes more than its own line (that "" too)
-    had a quoted cell still open at its line's end. That line, and each
-    line after it the cell took but the last, is read again alone, without
-    its terminator, so no cell holds a line break; read alone, a line whose
-    quoted cell is still open at its end takes the "" after it, and is
-    `open_quote`. A new reader starts on the last line the cell took, so no
-    line is read more than three times. A line csv cannot parse alone (a
-    cell over its field limit) is a ValueError naming it.
+    numpy reads each line whose '"' bytes all sit at cell edges, and that
+    is no longer than csv.field_size_limit(): quote k of the line opens a
+    cell when k is even, at the line's start or after a comma, and closes
+    it when k is odd, before a comma or at the line's end. The cells end at
+    the line's commas, but for those after an odd number of its quotes,
+    which lie inside a cell, and a quoted cell is the bytes between its
+    quotes; an empty line is a record of no cells. csv.reader reads every
+    other line alone (an odd number of quotes, a quote off a cell edge such
+    as 1"5 or "a""b", or a line over the limit), fed the line and then "":
+    a line whose quoted cell is still open at its end takes that "", and
+    is `open_quote`. A line csv cannot parse alone (a cell over its field
+    limit) is a ValueError naming it.
 
-    The cells of each record with `width` cells are read by `_decimals`;
-    each cell it does not decide goes to float(), and a ValueError there
-    marks the record not `numeric`. A decided cell is one the kernel proves
-    equal to float(cell), bit for bit: it is [-+]?digits[.digits] (or .5,
-    5.), with an optional exponent [eE][-+]?digits, its at most 19
-    significant digits are an exact uint64 M and its value is M * 10**q
-    with |q| <= 22, so 10**|q| is an exact double. A first quotient or
-    product is corrected by one step, and accepted only where an exact
-    residual (Dekker's product, Sterbenz's lemma), known to within a bound
-    on its own rounding, puts the value strictly inside the half gaps
-    around the result; so a value within that bound of a half-way point,
-    or an exact tie such as 9007199254740993, is left to float(), as are
-    spaces, "_", nan, inf, other digits than ASCII, longer digit strings
-    and larger exponents. "-0" reads as -0.0.
+    The cells of each record numpy reads with `width` cells are read by
+    `_decimals`; each cell it does not decide goes to float(), and a
+    ValueError there marks the record not `numeric`. A decided cell is one
+    the kernel proves equal to float(cell), bit for bit: it is
+    [-+]?digits[.digits] (or .5, 5.), with an optional exponent
+    [eE][-+]?digits, its at most 19 significant digits are an exact uint64
+    M and its value is M * 10**q with |q| <= 22, so 10**|q| is an exact
+    double. A first quotient or product is corrected by one step, and
+    accepted only where an exact residual (Dekker's product, Sterbenz's
+    lemma), known to within a bound on its own rounding, puts the value
+    strictly inside the half gaps around the result; so a value within that
+    bound of a half-way point, or an exact tie such as 9007199254740993, is
+    left to float(), as are spaces, "_", nan, inf, other digits than ASCII,
+    longer digit strings and larger exponents. "-0" reads as -0.0.
     """
     last = min(last, len(bounds) - 1)
     lines = last - first + 1
     start = int(bounds[first - 1])
-    raw = np.frombuffer(data, np.uint8, int(bounds[last]) - start, start)
+    text = data[start:int(bounds[last])]
+    raw = np.frombuffer(text, np.uint8)
     line_start = bounds[first - 1:last] - start
     line_end = bounds[first:last + 1] - start  # the byte each line's successor starts at
     # The byte of each line's terminator: its \n or \r, the \r of a \r\n,
@@ -508,87 +510,69 @@ def parse_csv(data: bytes, bounds: np.ndarray, first: int, last: int, width: int
     crlf = newline & (content_end > line_start)
     crlf[crlf] = raw[content_end[crlf] - 1] == ord("\r")
     content_end -= crlf
-    # Each line's cells end at its commas and at its terminator, in one
-    # array in byte order: `at` holds those bytes, `after` the byte after
-    # each (the next cell's or line's first), `ends` which end a line.
+    # Quote k of a line opens a cell when k is even and closes it when k is
+    # odd. A line goes to csv alone when a quote is off its cell edge, when
+    # an opening quote is its line's last, or when it is over csv's field limit.
+    quote = np.flatnonzero(raw == ord('"'))
+    quote_line = np.searchsorted(line_end, quote, "right")
+    closing = (np.arange(len(quote)) - np.searchsorted(quote, line_start)[quote_line]) % 2 == 1
+    closed = np.append(closing, False)  # whether the quote after quote k, if any, closes a cell
+    beside = np.where(closing, quote + 1, quote - 1)  # the byte across the cell edge
+    edge = beside == np.where(closing, content_end[quote_line], line_start[quote_line] - 1)
+    edge |= raw[beside.clip(0, len(raw) - 1)] == ord(",")
+    alone = content_end - line_start > csv.field_size_limit()
+    alone[quote_line[~edge | ~(closing | closed[1:])]] = True
     comma = np.flatnonzero(raw == ord(","))
-    fields = np.diff(np.searchsorted(comma, line_end), prepend=0) + 1  # commas + 1
-    ends = np.zeros(fields.sum(), bool)
-    ends[np.cumsum(fields) - 1] = True
-    at = np.empty(len(ends), np.intp)
-    at[ends] = content_end
-    at[~ends] = comma
-    after = at + 1
-    after[ends] = line_end
-    field_line = np.cumsum(ends) - ends  # the line of each cell
-    fields[content_end == line_start] = 0
-    special = content_end - line_start > csv.field_size_limit()
-    special[np.searchsorted(line_end, np.flatnonzero(raw == ord('"')), "right")] = True
+    comma = comma[~closed[np.searchsorted(quote, comma)]]  # one before a closing quote is inside its cell
+    # Cell c of the slice is raw[cell_start[c]:cell_end[c]]: each line's
+    # cells start at its start or after a comma and end at a comma or at its
+    # terminator, so an empty line holds one empty cell here.
+    before, through = np.searchsorted(comma, line_start), np.searchsorted(comma, content_end)
+    cell_start = np.insert(comma + 1, before, line_start)
+    cell_end = np.insert(comma, through, content_end)
+    line_cell = before + np.arange(lines)  # each line's first cell
+    span = through - before + 1
+    fields = np.where(content_end > line_start, span, 0)
+    opening = np.searchsorted(cell_end, quote[~closing & ~alone[quote_line]])  # a quoted cell: its inner bytes
+    cell_start[opening] += 1
+    cell_end[opening] -= 1
 
-    # csv reads each run of special lines with one reader, for as long as
-    # each record takes one line.
+    def cell_text(c: int) -> str:
+        return text[cell_start[c]:cell_end[c]].decode()
+
     read: dict[int, list[str]] = {}
     open_quote = np.zeros(lines, bool)
-    runs = np.flatnonzero(np.diff(special, prepend=False, append=False)).tolist()
-    for i, stop in zip(runs[::2], runs[1::2]):
-        while i < stop:
-            edges = memoryview(bounds)[first + i - 1:first + stop]  # Python ints, read as the reader needs them
-            reader = csv.reader(chain(map(bytes.decode, map(data.__getitem__, map(slice, edges, edges[1:]))), [""]))
-            base = i
-            while i < stop:
-                try:
-                    read[i] = next(reader)
-                    took = base + reader.line_num - i  # the lines record i took
-                except csv.Error:  # on line i, or on a line its open cell ran on to: read alone below
-                    took = max(base + reader.line_num - i, 2)
-                if took > 1:
-                    break
-                i += 1
-            end = min(i + took - 1, stop)  # the line the next reader starts on
-            for j in range(i, end):
-                alone = csv.reader([data[start + line_start[j]:start + content_end[j]].decode(), ""])
-                try:
-                    read[j] = next(alone)
-                except csv.Error as exc:
-                    raise ValueError(f"unreadable CSV record on line {first + j}: {exc}") from None
-                open_quote[j] = alone.line_num > 1
-            i = end
-    fields[list(read)] = [len(row) for row in read.values()]
+    for j in np.flatnonzero(alone).tolist():
+        reader = csv.reader([text[line_start[j]:content_end[j]].decode(), ""])
+        try:
+            read[j] = next(reader)
+        except csv.Error as exc:
+            raise ValueError(f"unreadable CSV record on line {first + j}: {exc}") from None
+        open_quote[j] = reader.line_num > 1
+        fields[j] = len(read[j])
 
+    rows = ~alone & (fields == width)
+    cells = np.flatnonzero(np.repeat(rows, span))
+    got, readable = _decimals(raw, cell_start[cells], cell_end[cells])
+    for k in np.flatnonzero(~readable).tolist():
+        try:
+            got[k] = float(cell_text(cells[k]))
+        except ValueError:
+            continue
+        readable[k] = True
     values = np.zeros((lines, width))
+    values[rows] = got.reshape(-1, width)
     numeric = np.zeros(lines, bool)
-    rows = ~special & (fields == width)
-    if rows.any():
-        cells = rows[field_line]
-        cell_start = np.concatenate(([0], after))[:-1][cells]
-        cell_end = at[cells]
-        got, readable = _decimals(raw, cell_start, cell_end)
-        left = np.flatnonzero(~readable)
-        read_by_float = {}
-        for c, begin, stop in zip(left.tolist(), (start + cell_start[left]).tolist(), (start + cell_end[left]).tolist()):
+    numeric[rows] = readable.reshape(-1, width).all(axis=1)
+    for j, row in read.items():
+        if len(row) == width and not open_quote[j]:
             try:
-                read_by_float[c] = float(data[begin:stop].decode("utf-8"))
+                values[j] = [float(cell) for cell in row]
             except ValueError:
                 continue
-        got[list(read_by_float)] = list(read_by_float.values())
-        readable[list(read_by_float)] = True
-        values[rows] = got.reshape(-1, width)
-        numeric[rows] = readable.reshape(-1, width).all(axis=1)
-    parsed, floats = [], []
-    for i, row in read.items():
-        if len(row) == width:
-            try:
-                floats += [float(cell) for cell in row]
-            except ValueError:
-                continue
-            parsed.append(i)
-    values[parsed] = np.reshape(floats, (-1, width))
-    numeric[parsed] = ~open_quote[parsed]
+            numeric[j] = True
 
     def cells_of(i: int) -> list[str]:
-        if i in read:
-            return read[i]
-        text = data[start + line_start[i]:start + content_end[i]].decode("utf-8")
-        return text.split(",") if fields[i] else []
+        return read[i] if i in read else [cell_text(c) for c in range(line_cell[i], line_cell[i] + fields[i])]
 
     return CsvRecords(fields, values, numeric, open_quote, cells_of)

@@ -1117,7 +1117,13 @@ NUMERIC_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "-0", "0.0", ".5", "5.", "1e5", "1E-5",
                      "9007199254740993", "", "n/a", " 1", "1 ", "1_0", "\u0661", "-.", "0x1p3", "1.5e"]),
 )
-QUOTED_CELLS = st.text(alphabet='0.5,"\n\r', max_size=6).map(lambda t: '"' + t.replace('"', '""') + '"')
+QUOTED_NUMERIC_CELLS = NUMERIC_CELLS.map(lambda t: f'"{t}"')
+# Quoted cells as csv writes them, and cells with a quote off a cell's edge.
+QUOTED_CELLS = st.one_of(
+    st.text(alphabet='0.5,"\n\r', max_size=6).map(lambda t: '"' + t.replace('"', '""') + '"'),
+    QUOTED_NUMERIC_CELLS,
+    st.sampled_from(['1"5', '"1"5', '"1" ', ' "1"', '"1"""', '""', '"1,5"', '","']),
+)
 
 
 @st.composite
@@ -1127,8 +1133,9 @@ def csv_slices(draw):
     mode = draw(st.sampled_from(["scalar", "vector"]))
     width = 2 if mode == "scalar" else 10
     s_cell = st.floats(0.0, 1.0).map(repr)
-    accepted = st.tuples(st.lists(NUMERIC_CELLS, min_size=width - 1, max_size=width - 1), s_cell).map(
-        lambda row: row[0] + [row[1]])
+    cells = st.one_of(NUMERIC_CELLS, QUOTED_NUMERIC_CELLS)
+    accepted = st.tuples(st.lists(cells, min_size=width - 1, max_size=width - 1),
+                         st.one_of(s_cell, s_cell.map(lambda t: f'"{t}"'))).map(lambda row: row[0] + [row[1]])
     any_cells = st.lists(st.one_of(NUMERIC_CELLS, QUOTED_CELLS), max_size=width + 2)
     counts = st.sampled_from([0, 1, 3, width - 1, width + 1]).flatmap(
         lambda n: st.lists(NUMERIC_CELLS, min_size=n, max_size=n))
@@ -1146,9 +1153,10 @@ def csv_slices(draw):
 
 
 class TestSliceReader:
-    """cli._ingest_slice reads quote-free lines with numpy and csvfloat's
-    decimal kernel; every slice must come out as csv.reader and float()
-    read its lines one at a time, the whole returned tuple equal."""
+    """cli._ingest_slice reads lines whose quotes sit at cell edges with
+    numpy and csvfloat's decimal kernel, and every other quoted line with a
+    csv.reader of its own; every slice must come out as csv.reader and
+    float() read its lines one at a time, the whole returned tuple equal."""
 
     @settings(max_examples=200, deadline=None)
     @given(csv_slices())
@@ -1523,3 +1531,40 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert main(["verify", "--json", str(tmp_path / "open.json")]) == 0
         assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+
+
+class TestOutputPaths:
+    """Every writer (sweep, ingest, verify --json) writes through a symlink
+    to its target and refuses an output that is not a regular file."""
+
+    @pytest.fixture(params=["sweep", "ingest", "verify"])
+    def command(self, request, tmp_path, monkeypatch, verification_report):
+        """argv for the command, given its output path."""
+        monkeypatch.setattr(cli.verify, "run_all_checks", lambda: verification_report)
+        src = tmp_path / "in.csv"
+        src.write_text("x_rad,S\n1.0,0.5\n", encoding="utf-8")
+        return {
+            "sweep": lambda out: ["sweep", "--samples", "3", "--out", str(out)],
+            "ingest": lambda out: ["ingest", "--input", str(src), "--mode", "scalar", "--out", str(out)],
+            "verify": lambda out: ["verify", "--json", str(out)],
+        }[request.param]
+
+    def test_a_symlinked_output_keeps_its_link(self, tmp_path, command, capsys):
+        want = tmp_path / "want.out"
+        assert main(command(want)) == 0
+        real, link = tmp_path / "real.out", tmp_path / "link.out"
+        real.write_text("old\n", encoding="utf-8")
+        link.symlink_to(real)
+        assert main(command(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == want.read_bytes()
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_a_fifo_output_is_refused_untouched(self, tmp_path, command, capsys):
+        fifo = tmp_path / "fifo.out"
+        os.mkfifo(fifo)
+        capsys.readouterr()
+        assert main(command(fifo)) == 1
+        assert capsys.readouterr().err == f"error: output {fifo} is not a regular file\n"
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.out", "in.csv"]

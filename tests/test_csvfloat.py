@@ -376,11 +376,8 @@ def test_an_open_cell_past_the_field_limit_fails_no_line():
     assert records.numeric.tolist() == [False, False, True]
 
 
-def test_open_quotes_read_each_line_a_few_times(monkeypatch):
-    # Each line opens a quoted cell when read alone and keeps one open when
-    # read after such a line. A reader restarted on the line after each
-    # open quote would be fed the run's lines about 1000**2 / 2 times.
-    data = b'a"b,"c\n' * 1000
+def feed_log(monkeypatch) -> list[str]:
+    """The lines csvfloat's csv.reader is fed from now on, in order."""
     fed = []
 
     def reader(lines):
@@ -388,6 +385,27 @@ def test_open_quotes_read_each_line_a_few_times(monkeypatch):
 
     monkeypatch.setattr(csvfloat, "csv", SimpleNamespace(reader=reader, Error=csv.Error,
                                                          field_size_limit=csv.field_size_limit))
+    return fed
+
+
+def test_open_quotes_read_each_line_once(monkeypatch):
+    # Each line opens a quoted cell read alone: csv is fed the line, then "".
+    data = b'a"b,"c\n' * 1000
+    fed = feed_log(monkeypatch)
     records = parse_csv(data, line_bounds(data), 1, 1000, 2)
     assert records.open_quote.all() and records.cells(999) == ['a"b', "c"]
-    assert len(fed) <= 3 * 1000 + 1
+    assert fed == ['a"b,"c', ""] * 1000
+
+
+def test_plainly_quoted_lines_never_reach_csv(monkeypatch):
+    # Every cell quoted, as csv.writer with QUOTE_ALL writes repr floats.
+    rows = np.random.default_rng(31).uniform(-3.0, 3.0, (2048, 2)).tolist()
+    plain = "".join(f"{a!r},{b!r}\n" for a, b in rows).encode()
+    quoted = "".join(f'"{a!r}","{b!r}"\n' for a, b in rows).encode()
+    want = parse_csv(plain, line_bounds(plain), 1, 2048, 2)
+    fed = feed_log(monkeypatch)
+    got = parse_csv(quoted, line_bounds(quoted), 1, 2048, 2)
+    assert fed == []
+    assert got.values.tolist() == want.values.tolist() == rows
+    assert got.numeric.all() and got.fields.tolist() == [2] * 2048
+    assert [got.cells(i) for i in range(2048)] == [[repr(a), repr(b)] for a, b in rows]
