@@ -97,12 +97,13 @@ def exclusive_structure_factor(
 
     Entry (a, b) is sum_f <i|U_a^dag|f><f|U_b|i> with
     U_a = S_1^a e^{i q.r1} + S_2^a e^{i q.r2}, the sum running over the
-    eigenstates whose energy differs from the initial one (elastic terms
-    drop out). For the singlet this reduces to delta_ab times the scalar
-    structure factor.
+    eigenstates whose energy differs from the initial one by more than the
+    level tolerance `eigensys.atol` (elastic terms drop out). For the
+    singlet this reduces to delta_ab times the scalar structure factor.
 
     `initial` is one finite, normalized 4-component state inside one energy
-    level (an eigenstate, or a superposition of degenerate ones), and `r1`,
+    level (an eigenstate, or a superposition of degenerate ones: its energy
+    spread must be within `eigensys.atol`), and `r1`,
     `r2` are 3-vectors. `q` has shape (3,), giving one tensor of shape
     (3, 3), or (..., 3) for a stack of wave vectors, giving shape
     (..., 3, 3). Every product is a matmul over the trailing axes, so each
@@ -121,10 +122,9 @@ def exclusive_structure_factor(
     energies = eigensys.energies
     weights = np.abs(eigensys.states.conj().T @ initial) ** 2
     e_initial = float(np.sum(weights * energies))
-    atol = 1e-9 * max(1.0, float(np.max(np.abs(energies))))
-    if np.sum(weights * (energies - e_initial) ** 2) > atol**2:
+    if np.sum(weights * (energies - e_initial) ** 2) > eigensys.atol**2:
         raise ValueError("initial state must lie in one energy level of the hamiltonian")
-    final = np.abs(energies - e_initial) > atol
+    final = np.abs(energies - e_initial) > eigensys.atol
 
     # amplitudes[..., a, f] = <f|U_a|i> for the selected final states
     amplitudes = (eigensys.states[:, final].conj().T @ (ops @ initial)[..., None])[..., 0]

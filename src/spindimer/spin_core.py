@@ -1,8 +1,9 @@
 """Exact quantum mechanics of the two-site spin-1/2 exchange dimer.
 
 Operators act on the 4-dimensional product basis |00>, |01>, |10>, |11>,
-with |0> the m = +1/2 state. Natural units throughout: hbar = k_B = 1;
-energies are in units of the exchange coupling.
+with |0> the m = +1/2 state. Natural units throughout: hbar = k_B = 1, so
+energies and temperatures carry the unit of the exchange coupling J, which
+may take any finite value.
 """
 
 from __future__ import annotations
@@ -153,11 +154,16 @@ class EigenSystem:
 
     Column k of `states` is the eigenvector for `energies[k]`; `labels[k]`
     is its (s, m_s) pair. Energies ascend, ties broken by m_s descending.
+    `atol` is the level tolerance, 1e-9 times the Hamiltonian's largest
+    |entry|: energies within it of each other form one level. `eigensystem`
+    alone sets it, and `thermal_state` and `exclusive_structure_factor` read
+    it, so they never disagree on which states are degenerate.
     """
 
     energies: np.ndarray
     states: np.ndarray
     labels: tuple[tuple[int, int], ...]
+    atol: float
 
 
 _COUPLED_LABELS = ((1, 1), (1, 0), (1, -1), (0, 0))
@@ -169,14 +175,15 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
 
     The matrix must be block-diagonal in the product basis with a symmetric
     2x2 central block, which makes the singlet/triplet kets exact
-    eigenvectors; anything else is rejected. No iterative solver is used,
-    so energies of exact inputs come out exact.
+    eigenvectors; a coupled ket whose residual |H k - E k| exceeds the
+    level tolerance (`EigenSystem.atol`, 1e-9 times the largest |entry| of
+    H, with no absolute floor, so it scales with any coupling) is rejected.
+    No iterative solver is used, so energies of exact inputs come out exact.
     """
     h = require_hermitian(hamiltonian, name="hamiltonian")
     if h.ndim != 2:
         raise ValueError(f"hamiltonian must be one 4x4 matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    atol = 1e-9 * scale
+    atol = 1e-9 * float(np.max(np.abs(h)))
 
     # Analytic eigenvalues: the diagonal corners, and d +/- o for the
     # central block [[d, o], [o, d]].
@@ -197,28 +204,28 @@ def eigensystem(hamiltonian: np.ndarray) -> EigenSystem:
         energies=energies[order],
         states=_COUPLED_KETS[:, order],
         labels=tuple(_COUPLED_LABELS[k] for k in order),
+        atol=atol,
     )
 
 
 def thermal_state(model: DimerModel, temperature: float) -> np.ndarray:
     """Gibbs state exp(-H/T)/Z of the dimer at temperature T (k_B = 1).
 
-    T = 0 returns the projector onto the ground manifold, normalized over
-    its degeneracy, rather than taking a numerical limit; T = inf returns
-    the maximally mixed state. A negative or NaN temperature is rejected.
+    A level whose gap to the ground energy is within the level tolerance
+    `EigenSystem.atol` is the ground level and gets weight 1; every other
+    level gets exp(-gap/T). At T = 0, or at a T so small that gap/T
+    overflows, that is exp(-inf) = 0, so the state is the projector onto the
+    ground level normalized over its degeneracy, the exact T -> 0 limit;
+    T = inf gives the maximally mixed state. A negative or NaN temperature
+    is rejected.
     """
     if not temperature >= 0.0:  # NaN fails this comparison too
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     eig = eigensystem(build_hamiltonian(model))
-    energies = eig.energies
-    if temperature == 0.0:
-        gap_atol = 1e-12 * max(1.0, abs(model.coupling))
-        weights = (energies - energies[0] <= gap_atol).astype(float)
-    else:
-        # At a subnormal T a gap over T may overflow to inf; exp(-inf) = 0 is
-        # then the exact weight of the T -> 0 limit.
-        with np.errstate(over="ignore"):
-            weights = np.exp(-(energies - energies[0]) / temperature)
+    gaps = eig.energies - eig.energies[0]
+    # At T = 0 a ground-level gap gives 0/0 = NaN, which np.where discards.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = np.where(gaps <= eig.atol, 1.0, np.exp(-gaps / temperature))
     weights /= weights.sum()
     return (eig.states * weights) @ eig.states.conj().T
 

@@ -20,10 +20,12 @@ from spindimer.spin_core import (
     PAULI_PRODUCTS,
     DimerModel,
     SINGLET,
+    TOTAL_SZ,
     TRIPLET_MINUS,
     TRIPLET_PLUS,
     TRIPLET_ZERO,
     bell_diagonal_state,
+    build_hamiltonian,
     fano_decompose,
     projector,
     require_density_matrix,
@@ -540,6 +542,53 @@ def random_x_states(rng, count):
     rho[:, 0, 3] = rho[:, 3, 0] = rng.uniform(-1.0, 1.0, count) * np.sqrt(p[:, 0] * p[:, 3])
     rho[:, 1, 2] = rho[:, 2, 1] = rng.uniform(-1.0, 1.0, count) * np.sqrt(p[:, 1] * p[:, 2])
     return rho
+
+
+def gibbs_states_in_field():
+    """The 300 Gibbs states of H + B S^z_total at J = 1, B in
+    linspace(0.05, 2, 20) and T in geomspace(0.05, 3, 15), built with `eigh`,
+    B-major: from near-singlet states at low T to nearly mixed ones."""
+    fields = np.linspace(0.05, 2.0, 20)
+    temps = np.geomspace(0.05, 3.0, 15)
+    w, v = np.linalg.eigh(build_hamiltonian(DimerModel(coupling=1.0)) + fields[:, None, None] * TOTAL_SZ)
+    p = np.exp(-(w - w[:, :1])[:, None, :] / temps[:, None])
+    p /= p.sum(axis=-1, keepdims=True)
+    return ((v[:, None] * p[..., None, :]) @ v[:, None].conj().swapaxes(-1, -2)).reshape(-1, 4, 4)
+
+
+def haar_unitaries(rng, count):
+    """`count` Haar-random 2x2 unitaries: the Q of a complex Ginibre
+    matrix's QR, its columns rephased by R's diagonal."""
+    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+class TestLocalUnitaryInvariance:
+    """Entanglement and the CHSH maximum are invariant under local unitaries
+    U1 (x) U2: a state and its rotated copy give the same value, a check
+    that goes through no closed form."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        states = gibbs_states_in_field()
+        rng = np.random.default_rng(303)
+        u1, u2 = haar_unitaries(rng, len(states)), haar_unitaries(rng, len(states))
+        u = np.einsum("nab,ncd->nacbd", u1, u2).reshape(-1, 4, 4)  # u[n] = kron(u1[n], u2[n])
+        return states, u @ states @ u.conj().swapaxes(-1, -2)
+
+    def test_chsh_max(self, pairs):
+        states, rotated = pairs
+        assert np.max(np.abs(chsh_max(rotated, "optimized") - chsh_max(states, "optimized"))) < 1e-13
+
+    def test_wootters_concurrence(self, pairs):
+        # The low-T states are nearly pure, and the lambda_i of their nearly
+        # null directions are square roots of eigenvalues near 0: a rotation's
+        # rounding, O(eps), moves them by O(sqrt(eps)) = 1.5e-8 (2.7e-8 at
+        # most here). So the bound is a few sqrt(eps), not a few eps.
+        states, rotated = pairs
+        assert np.max(np.abs(wootters_concurrence(rotated) - wootters_concurrence(states))) < 1e-7
 
 
 class TestXStateDiscord:

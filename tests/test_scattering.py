@@ -71,6 +71,17 @@ class TestExclusiveStructureFactor:
         assert tensors.shape == (200, 3, 3)
         assert np.max(np.abs(tensors - scalar_structure_factor(x)[:, None, None] * np.eye(3))) < 1e-12
 
+    @pytest.mark.parametrize("j", [1e-10, 1e-200])
+    def test_small_coupling_keeps_the_inelastic_transitions(self, dimer_eigensystem, j):
+        # The triplet lies J above the singlet, far outside the level
+        # tolerance 1e-9 |J| / 2, so the transitions stay inelastic at any
+        # coupling, however small.
+        eig = eigensystem(build_hamiltonian(DimerModel(coupling=j)))
+        geometry = (np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]), np.zeros(3))
+        tensor = exclusive_structure_factor(SINGLET, eig, *geometry)
+        assert np.max(np.abs(tensor - scalar_structure_factor(2.0) * np.eye(3))) < 1e-15
+        assert np.array_equal(tensor, exclusive_structure_factor(SINGLET, dimer_eigensystem, *geometry))
+
     @pytest.mark.parametrize("shape", [(1000, 3), (2, 3, 3)])
     @pytest.mark.parametrize("initial", [SINGLET, TRIPLET_ZERO, (TRIPLET_PLUS + TRIPLET_ZERO) / np.sqrt(2.0)],
                              ids=["singlet", "triplet_zero", "degenerate_triplets"])

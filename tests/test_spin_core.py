@@ -1,3 +1,14 @@
+"""Tests of the spin-1/2 dimer core.
+
+`run_certificate_battery` is a command-line runner for the validation
+certificate at a scale too large for the test suite:
+
+    PYTHONPATH=src:tests python -c 'import test_spin_core as t; t.run_certificate_battery(200_000)'
+"""
+
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +21,7 @@ from spindimer.spin_core import (
     TRACE_ATOL,
     DimerModel,
     SINGLET,
+    SPIN_SITE_1,
     TOTAL_SZ,
     TRIPLET_MINUS,
     TRIPLET_PLUS,
@@ -124,20 +136,32 @@ class TestEigensystem:
         with pytest.raises(ValueError, match=rf"^hamiltonian must be one 4x4 matrix, got shape \({count}, 4, 4\)$"):
             eigensystem(stack)
 
-    def test_residual_names_the_first_coupled_state_off_the_diagonal(self):
-        # A transverse field on site 1 takes |00> to |10>: residual 1 for the first ket.
-        with pytest.raises(ValueError, match=r"residual 1\.000e\+00 for \(s, m_s\) = \(1, 1\)"):
-            eigensystem(np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2)))
+    # A transverse field h S_1^x on site 1 takes |00> to h/2 |10>: residual
+    # h/2 for the first ket, rejected at any h because the tolerance is
+    # 1e-9 of H's largest entry, h/2, with no absolute floor.
+    @pytest.mark.parametrize("field,residual", [(2.0, r"1\.000e\+00"), (1e-11, r"5\.000e-12")])
+    def test_residual_names_the_first_coupled_state_off_the_diagonal(self, field, residual):
+        with pytest.raises(ValueError, match=rf"residual {residual} for \(s, m_s\) = \(1, 1\)"):
+            eigensystem(field * SPIN_SITE_1[0])
+
+    @pytest.mark.parametrize("j", [4.0, 1e-13, -1e-200, 0.0])
+    def test_level_tolerance_is_relative_to_the_largest_entry(self, j):
+        # The largest |entry| of the exchange Hamiltonian is |J|/2, off the diagonal.
+        assert eigensystem(build_hamiltonian(DimerModel(coupling=j))).atol == 1e-9 * (abs(j) / 2.0)
 
 
 class TestThermalState:
-    def test_zero_temperature_positive_coupling_is_singlet_projector(self):
-        rho = thermal_state(DimerModel(coupling=1.0), 0.0)
+    # The level tolerance is 1e-9 |J| / 2, so the singlet-triplet gap |J|
+    # splits the levels at any nonzero coupling, however small.
+    @pytest.mark.parametrize("j", [1.0, 1e-13, 1e-200])
+    def test_zero_temperature_positive_coupling_is_singlet_projector(self, j):
+        rho = thermal_state(DimerModel(coupling=j), 0.0)
         assert np.max(np.abs(rho - projector(SINGLET))) < 1e-12
 
-    def test_zero_temperature_negative_coupling_is_triplet_projector(self):
+    @pytest.mark.parametrize("j", [-1.0, -1e-13])
+    def test_zero_temperature_negative_coupling_is_triplet_projector(self, j):
         # the triplet is the (threefold) ground manifold when J < 0
-        rho = thermal_state(DimerModel(coupling=-1.0), 0.0)
+        rho = thermal_state(DimerModel(coupling=j), 0.0)
         expected = (
             projector(TRIPLET_PLUS) + projector(TRIPLET_ZERO) + projector(TRIPLET_MINUS)
         ) / 3.0
@@ -147,6 +171,12 @@ class TestThermalState:
     def test_subnormal_temperature_is_the_zero_temperature_state(self, j):
         model = DimerModel(coupling=j)
         assert np.array_equal(thermal_state(model, 1e-310), thermal_state(model, 0.0))
+
+    @pytest.mark.parametrize("temp", [0.0, 1.0])
+    def test_zero_coupling_is_maximally_mixed(self, temp):
+        # All four levels are one, and the level tolerance is 0.
+        rho = thermal_state(DimerModel(coupling=0.0), temp)
+        assert np.max(np.abs(rho - np.eye(4) / 4.0)) < 1e-15
 
     def test_infinite_temperature_limit_is_maximally_mixed(self):
         rho = thermal_state(DimerModel(coupling=1.0), 1e9)
@@ -412,6 +442,31 @@ def near_floor_battery(rng, per_rank):
             shifted.append((v * moved[:, None, :]) @ v.conj().swapaxes(-1, -2))
         states.append(np.stack(shifted, axis=1).reshape(-1, 4, 4))
     return np.concatenate(states)
+
+
+def run_certificate_battery(count: int) -> None:
+    """`require_density_matrix` against `eigvalsh_rule` on `count` states of
+    `near_floor_battery`, in stacks of 10000; prints how many stacks the
+    certificate accepted whole and the time, and exits 1 on a disagreement.
+
+    The states are ordered by their shift, the states as drawn first, so a
+    stack is clean (as drawn, or all 0.5e-10 above the floor), lies on one
+    side of the floor near it, or straddles it where two shifts meet."""
+    start = time.perf_counter()
+    copies = 1 + len(FLOOR_DELTAS)  # each drawn state and its shifted copies, for 4 ranks
+    battery = near_floor_battery(np.random.default_rng(22), -(-count // (4 * copies)))
+    states = battery.reshape(-1, copies, 4, 4).swapaxes(0, 1).reshape(-1, 4, 4)[:count]
+    stacks = accepted = disagreements = 0
+    for first in range(0, count, 10_000):
+        stack = states[first:first + 10_000]
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            shipped = outcome(require_density_matrix, stack)
+        stacks += 1
+        accepted += not eigvalsh.called
+        disagreements += shipped != outcome(eigvalsh_rule, stack)
+    print(f"certificate accepted {accepted} of {stacks} stacks, {stacks - accepted} went to eigvalsh, "
+          f"{disagreements} disagreements, {time.perf_counter() - start:.1f} s")
+    raise SystemExit(1 if disagreements else 0)
 
 
 class TestValidationCertificate:
