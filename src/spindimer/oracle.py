@@ -28,9 +28,9 @@ from .spin_core import (
 # Settings of `_sphere_search` and of the coarse grids it refines: grid
 # sizes (points per hemisphere), the most grid points evaluated per objective
 # call, the number of best grid points refined, the number of compass
-# directions, the initial and final steps (radians), the sufficient-decrease
-# factor, the spread (in ulps of a point's value) within which its polls count
-# as flat, and a cap on search rounds.
+# directions, the initial and final steps (radians), the spread (in ulps of a
+# point's value) within which its polls count as flat, and a cap on search
+# rounds.
 _DISCORD_GRID = 256
 _CHSH_GRID = 64
 _GRID_POINTS_PER_CALL = 2048
@@ -38,7 +38,6 @@ _STARTS = 3
 _COMPASS = 6
 _STEP = 0.1
 _TOL = 1e-11
-_GAIN = 1e-3
 _FLAT_ULPS = 4
 _MAX_ROUNDS = 2000
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -249,15 +248,13 @@ def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
     towards one of _COMPASS evenly spaced directions in the tangent plane at
     that vector. The compass turns by the golden angle each round, so over
     the rounds the polled directions cover the tangent plane. The point
-    moves to the best neighbour if that lowers its value by more than
-    _GAIN * step^2, and halves its step only when none does; the margin stops a
-    point from creeping along a valley on gains that vanish faster than its
-    step. A point stops once its step is below _TOL, or once no poll beats
-    its value and every poll lies within _FLAT_ULPS ulps of it: the
-    objective is then flat at float resolution at that step, and smaller
-    steps would poll the same values. A point's path depends on its own
-    state only. For each state, the lowest value reached once every point
-    has stopped is returned.
+    moves to its best poll whenever that poll is lower than its value, and
+    halves its step otherwise. A point stops once its step is below _TOL,
+    or once no poll beats its value and every poll lies within _FLAT_ULPS
+    ulps of it: the objective is then flat at float resolution at that
+    step, and smaller steps would poll the same values. A point's path
+    depends on its own state only. For each state, the lowest value reached
+    once every point has stopped is returned.
 
     The points still searching are kept compacted, with their rows, and are
     gathered again only after a round in which one stopped. Each round is
@@ -307,9 +304,9 @@ def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
         values = objective(points, live_rows)
         k = values.argmin(axis=1)
         best = values[np.arange(size), k]
-        better = best < live_value - _GAIN * steps ** 2
+        better = best < live_value
         spread = np.ascontiguousarray(values.T).max(axis=0) - live_value  # a long axis to reduce
-        flat = (best >= live_value) & (spread <= _FLAT_ULPS * np.spacing(np.abs(live_value)))
+        flat = ~better & (spread <= _FLAT_ULPS * np.spacing(np.abs(live_value)))
         moved = better.nonzero()[0]
         x[moved] = points[moved, k[moved]]
         live_value = np.where(better, best, live_value)

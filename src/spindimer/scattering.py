@@ -122,7 +122,12 @@ def exclusive_structure_factor(
     energies = eigensys.energies
     weights = np.abs(eigensys.states.conj().T @ initial) ** 2
     e_initial = float(np.sum(weights * energies))
-    if np.sum(weights * (energies - e_initial) ** 2) > eigensys.atol**2:
+    # The spread in units of the tolerance, whose square cannot underflow at
+    # a tiny coupling; at J = 0 (atol = 0) every energy is 0, and 0/0 is NaN,
+    # which is no spread.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.sum(weights * ((energies - e_initial) / eigensys.atol) ** 2)
+    if spread > 1.0:
         raise ValueError("initial state must lie in one energy level of the hamiltonian")
     final = np.abs(energies - e_initial) > eigensys.atol
 

@@ -1,3 +1,13 @@
+"""Tests of the brute-force oracles.
+
+`run_search_smoke` is a command-line runner for the two sphere searches on
+stacks too large for the test suite, with a bound on peak memory:
+
+    PYTHONPATH=src:tests python -c 'import test_oracle; test_oracle.run_search_smoke()'
+"""
+
+import resource
+
 import numpy as np
 import pytest
 
@@ -590,6 +600,13 @@ class TestLocalUnitaryInvariance:
         states, rotated = pairs
         assert np.max(np.abs(wootters_concurrence(rotated) - wootters_concurrence(states))) < 1e-7
 
+    def test_numerical_discord(self, pairs):
+        # The search goes through no closed form, so this gates the search
+        # itself: each copy must reach the same minimum to rounding.
+        states, rotated = pairs
+        numeric = trace_norm_discord(rotated, "numerical_min") - trace_norm_discord(states, "numerical_min")
+        assert np.max(np.abs(numeric)) < 1e-13
+
 
 class TestXStateDiscord:
     def test_reference_reduces_to_the_middle_magnitude_on_bell_diagonal_states(self):
@@ -642,12 +659,34 @@ class TestSearchWork:
         gap = trace_norm_discord(states, "numerical_min") - trace_norm_discord(states, "closed_form_bell_diagonal")
         assert np.max(np.abs(gap)) < 1e-13
 
+    def test_thermal_states_in_a_field_stop_before_the_cap(self, monkeypatch):
+        # Near-flat valleys: a point must stop on its step or on flat polls,
+        # not on _MAX_ROUNDS. 38 grid calls (8 states each) plus the rounds.
+        counts = objective_calls(monkeypatch)
+        trace_norm_discord(gibbs_states_in_field(), "numerical_min")
+        assert counts[0] <= 150 < oracle._MAX_ROUNDS
+
     def test_verify_searches_stay_short(self, monkeypatch):
         # The discord and CHSH searches of `verify`; a stop rule that lets
         # points halve their steps long after the objective is flat fails here.
         counts = objective_calls(monkeypatch)
         assert verify.run_all_checks().all_pass
         assert len(counts) == 2 and max(counts) <= 90
+
+
+def run_search_smoke() -> None:
+    """The numerical discord of 5000 random Bell-diagonal states against
+    their closed form, and the CHSH angle search on 1000 Ginibre states
+    against the Horodecki value; prints the largest deviations and the peak
+    RSS, and exits 1 above 1e-13, 1e-12 or 150 MB."""
+    states = random_bell_diagonal_state(np.random.default_rng(1), 5000)
+    numeric = trace_norm_discord(states, "numerical_min")
+    gap = np.max(np.abs(numeric - trace_norm_discord(states, "closed_form_bell_diagonal")))
+    ginibre = random_density_matrix(np.random.default_rng(2), 1000)
+    chsh_gap = np.max(np.abs(chsh_direct_search(ginibre) - chsh_max(ginibre, "optimized")))
+    mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"max discord deviation {gap:.3e}, max CHSH deviation {chsh_gap:.3e}, peak RSS {mb:.1f} MB")
+    raise SystemExit(1 if gap > 1e-13 or chsh_gap > 1e-12 or mb > 150 else 0)
 
 
 def reference_tangent_frame(u):
@@ -719,9 +758,9 @@ def reference_sphere_search(objective, data, grid):
         k = np.argmin(values, axis=1)
         best = values[np.arange(active.size), k]
         current = value[active]
-        better = best < current - oracle._GAIN * steps[active] ** 2
+        better = best < current
         spread = values.max(axis=1) - current
-        flat = (best >= current) & (spread <= oracle._FLAT_ULPS * np.spacing(np.abs(current)))
+        flat = ~better & (spread <= oracle._FLAT_ULPS * np.spacing(np.abs(current)))
         x[active[better]] = polls[better, k[better]]
         value[active[better]] = best[better]
         steps[active[~better]] *= 0.5

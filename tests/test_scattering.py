@@ -150,12 +150,24 @@ class TestExclusiveStructureFactor:
                 2.0 * SINGLET, dimer_eigensystem, np.zeros(3), np.zeros(3), np.ones(3)
             )
 
-    def test_rejects_initial_state_spanning_two_levels(self, dimer_eigensystem):
+    @pytest.mark.parametrize("j", [1.0, 1e-160, 1e-200])
+    def test_rejects_initial_state_spanning_two_levels(self, j):
         # Its mean energy matches no level, so no term would count as elastic.
+        # The spread is compared in units of the level tolerance: at
+        # J = 1e-200 its square and the tolerance's would both underflow to 0.
+        eig = eigensystem(build_hamiltonian(DimerModel(coupling=j)))
         with pytest.raises(ValueError, match="initial state must lie in one energy level"):
             exclusive_structure_factor(
-                (SINGLET + TRIPLET_PLUS) / np.sqrt(2.0), dimer_eigensystem, np.zeros(3), np.zeros(3), np.ones(3)
+                (SINGLET + TRIPLET_PLUS) / np.sqrt(2.0), eig, np.zeros(3), np.zeros(3), np.ones(3)
             )
+
+    def test_every_state_is_one_level_at_zero_coupling(self):
+        # At J = 0 all four energies are 0 and the tolerance is 0: every
+        # transition is elastic and the tensor vanishes.
+        eig = eigensystem(build_hamiltonian(DimerModel(coupling=0.0)))
+        geometry = (np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]), np.zeros(3))
+        tensor = exclusive_structure_factor((SINGLET + TRIPLET_PLUS) / np.sqrt(2.0), eig, *geometry)
+        assert np.array_equal(tensor, np.zeros((3, 3)))
 
     def test_degenerate_triplet_superposition_is_one_level(self, dimer_eigensystem):
         # At q = 0 each U_a is a total spin component, which stays inside the
