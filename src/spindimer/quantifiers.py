@@ -20,9 +20,6 @@ from .spin_core import DimerModel
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 DISCORD_VARIANTS = ("verbatim", "figure-consistent")
-# `bisect_root` stops once |f| < _ROOT_FTOL, or after _MAX_BISECTIONS halvings.
-_ROOT_FTOL = 1e-12
-_MAX_BISECTIONS = 200
 
 
 def _signed_concurrence(re_c):
@@ -194,8 +191,11 @@ def quantifier_table(x, s) -> dict[str, np.ndarray]:
 
 
 def _finite_at(f, x):
-    """f(x), or a ValueError naming x if it is not finite: a NaN would fail
-    both of the bisection's sign tests and steer it without a sign change."""
+    """f(x), or a ValueError naming x if x or f(x) is not finite: a NaN f
+    would fail both of the bisection's sign tests and steer it without a
+    sign change, and an end that is not finite makes every midpoint so."""
+    if not math.isfinite(x):
+        raise ValueError(f"bracket end x = {float(x)!r} is not finite")
     fx = f(x)
     if not math.isfinite(fx):
         raise ValueError(f"f is not finite at x = {float(x)!r}: {float(fx)!r}")
@@ -203,9 +203,13 @@ def _finite_at(f, x):
 
 
 def bisect_root(f, lo: float, hi: float) -> float:
-    """Bisection on a bracketing interval, run until |f| < 1e-12.
+    """Bisection on a bracketing interval, run until the bracket closes.
 
-    A value of f that is not finite, at an end or at a midpoint, is a
+    The bracket is halved until its midpoint rounds to one of its ends, so
+    the ends are adjacent doubles; the end where |f| is smaller is returned,
+    the lower one on a tie. An exact zero of f, at an end or at a midpoint,
+    is returned at once. Finite ends take at most about 2100 halvings. An
+    end that is not finite, or a value of f that is not finite, is a
     ValueError that names its abscissa."""
     flo, fhi = _finite_at(f, lo), _finite_at(f, hi)
     if flo == 0.0:
@@ -214,16 +218,17 @@ def bisect_root(f, lo: float, hi: float) -> float:
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise ValueError("interval does not bracket a root")
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+    # Halving each end first keeps the midpoint of two huge ends finite.
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
         fmid = _finite_at(f, mid)
-        if abs(fmid) < _ROOT_FTOL:
+        if fmid == 0.0:
             return mid
         if np.sign(fmid) == np.sign(flo):
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+    # Tuples compare |f| first, then the abscissa, so a tie goes to the lower end.
+    return min((abs(flo), lo), (abs(fhi), hi))[1]
 
 
 def scan_roots(f, lo: float = 0.0, hi: float = 2.0 * np.pi, samples: int = 10_000) -> list[float]:

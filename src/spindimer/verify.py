@@ -117,7 +117,7 @@ def closed_form_vs_oracle(x: float) -> dict:
     }
     deltas = {
         "concurrence": report["concurrence"] - oracle_values["concurrence"],
-        "eof": float(entanglement_of_formation(oracle_values["concurrence"])) - report["eof"],
+        "eof": report["eof"] - float(entanglement_of_formation(oracle_values["concurrence"])),
         "bell_vs_chsh_fixed": report["bell"] - oracle_values["chsh_fixed"],
         "correlation": report["ReC"] - oracle_values["correlation"],
     }
@@ -270,11 +270,11 @@ _CHECKS = (
     ("witness equals 2 + 3 ReC", 1e-12, "max dev",
      lambda shared: np.max(np.abs(witness(shared.grid) - (2.0 + 3.0 * shared.rec)))),
     ("susceptibility pipeline reproduces witness", 1e-12, "max dev", _susceptibility_pipeline),
-    ("witness window endpoints vs arccos form", 1e-6, "max dev",
+    ("witness window endpoints vs arccos form", 1e-13, "max dev",
      lambda shared: _window_endpoints(shared, "witness", (3.0 - np.sqrt(57.0)) / 6.0)),
-    ("concurrence window endpoints vs arccos form", 1e-6, "max dev",
+    ("concurrence window endpoints vs arccos form", 1e-13, "max dev",
      lambda shared: _window_endpoints(shared, "concurrence", (3.0 - np.sqrt(33.0)) / 6.0)),
-    ("bell threshold crossings vs arccos form", 1e-6, "max dev",
+    ("bell threshold crossings vs arccos form", 1e-13, "max dev",
      lambda shared: _window_endpoints(shared, "bell", 1.0 - np.sqrt(2.0))),
     ("Tsirelson bound on the closed-form bell curve", 1e-12, "max excess",
      lambda shared: float(np.max(shared.bell_curve)) - TSIRELSON_BOUND),

@@ -1,3 +1,11 @@
+"""Tests of the command-line interface.
+
+`run_open_quote_smoke` is a command-line runner for three 200000-row
+ingests of a file with a quoted cell left open, with a bound on peak memory:
+
+    PYTHONPATH=src:tests python -c 'import sys, test_cli; test_cli.run_open_quote_smoke(sys.argv[1])' DIR
+"""
+
 import csv
 import hashlib
 import io
@@ -21,7 +29,7 @@ import hypothesis.strategies as st
 
 from spindimer import cli, csvfloat, quantifiers, verify
 from spindimer.cli import main
-from spindimer.quantifiers import QUANTIFIER_FUNCTIONS
+from spindimer.quantifiers import QUANTIFIER_FUNCTIONS, entanglement_of_formation
 from spindimer.scattering import scattering_phase, scattering_phases
 
 TWO_PI = 2.0 * np.pi
@@ -380,6 +388,14 @@ class TestReport:
         assert report["x"] == x
         for name, f in QUANTIFIER_FUNCTIONS.items():
             assert report[name] == float(f(x)), name
+
+    def test_every_delta_is_closed_form_minus_oracle(self):
+        # Near pi the closed-form concurrence exceeds the oracle's by one ulp,
+        # and EoF increases with the concurrence, so both deltas are positive.
+        report = self.run_json(["report", "--x", "3.14159", "--format", "json"])
+        oracle_eof = float(entanglement_of_formation(report["oracle"]["concurrence"]))
+        assert report["delta"]["concurrence"] == report["concurrence"] - report["oracle"]["concurrence"] > 0.0
+        assert report["delta"]["eof"] == report["eof"] - oracle_eof > 0.0
 
     def test_quantifier_lines_match_golden_text(self, capsys):
         assert main(["report", "--x", "8.5"]) == 0
@@ -1568,3 +1584,30 @@ class TestOutputPaths:
         assert capsys.readouterr().err == f"error: output {fifo} is not a regular file\n"
         assert fifo.is_fifo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.out", "in.csv"]
+
+
+def run_open_quote_smoke(directory) -> None:
+    """The same 200000-row scalar ingest three times, its lines ended by \\n
+    (lf.csv), \\r\\n (crlf.csv) and a bare \\r (cr.csv), each copy with a
+    quoted cell that holds the file's line ending on file lines 2049-2050.
+    Writes the three inputs and their outputs (`<input>.out.csv`) into
+    `directory`, prints the peak RSS, and exits 1 unless every ingest
+    succeeds, each rejects file holds exactly lines 2049 and 2050, and the
+    peak stays within 150 MB. The inputs are written a line at a time, so
+    they add little to the peak."""
+    import resource  # Unix only, and needed only here
+
+    paths = [Path(directory, name) for name in ("lf.csv", "crlf.csv", "cr.csv")]
+    for path, ending in zip(paths, ["\n", "\r\n", "\r"]):
+        with path.open("w", newline="") as fh:
+            fh.write("x_rad,S" + ending)
+            # Data row 2048 is file line 2049; its quoted cell ends on line 2050.
+            fh.writelines(f'"0.5{ending}",0.5{ending}' if i == 2047 else f"{i * 1e-5!r},0.5{ending}" for i in range(200000))
+    codes = [main(["ingest", "--input", str(path), "--mode", "scalar", "--out", f"{path}.out.csv"]) for path in paths]
+    mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {mb:.1f} MB")
+    for path in paths:
+        rejects = parse_rejects(Path(f"{path}.out.csv.rejects.csv").read_bytes())
+        if rejects != [["2049", OPEN_QUOTE], ["2050", OPEN_QUOTE]]:
+            raise SystemExit(f"{path}: rejects {rejects}")
+    raise SystemExit(1 if any(codes) or mb > 150 else 0)

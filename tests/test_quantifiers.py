@@ -40,6 +40,13 @@ BELL_CROSSINGS = (1.9978749131873727, 4.2853103939922137)
 # binary entropy of (1 +/- sqrt(3)/2)/2, evaluated at 50 digits
 EOF_AT_HALF_CONCURRENCE = 0.35457890266526988
 
+
+def assert_within_one_ulp(roots, references):
+    """Each root lies within one ulp of its reference."""
+    references = np.array(references)
+    assert np.all(np.abs(np.array(roots) - references) <= np.spacing(references)), roots
+
+
 phases = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
 temperatures = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
@@ -75,9 +82,7 @@ class TestWitness:
         assert witness(0.0) == 2.0
 
     def test_zero_crossings(self):
-        lo, hi = witness_window()
-        assert abs(lo - WITNESS_ROOTS[0]) < 1e-9
-        assert abs(hi - WITNESS_ROOTS[1]) < 1e-9
+        assert_within_one_ulp(witness_window(), WITNESS_ROOTS)
 
     @given(phases)
     def test_equals_two_plus_three_rec(self, x):
@@ -179,9 +184,7 @@ class TestConcurrence:
         assert concurrence(0.0) == 0.0
 
     def test_window_boundaries(self):
-        lo, hi = concurrence_window()
-        assert abs(lo - CONCURRENCE_BOUNDS[0]) < 1e-9
-        assert abs(hi - CONCURRENCE_BOUNDS[1]) < 1e-9
+        assert_within_one_ulp(concurrence_window(), CONCURRENCE_BOUNDS)
 
     @given(phases)
     def test_bounded_in_unit_interval(self, x):
@@ -235,9 +238,7 @@ class TestBellMean:
         assert bell_mean(0.0) == 0.0
 
     def test_violation_threshold_crossings(self):
-        lo, hi = bell_violation_window()
-        assert abs(lo - BELL_CROSSINGS[0]) < 1e-9
-        assert abs(hi - BELL_CROSSINGS[1]) < 1e-9
+        assert_within_one_ulp(bell_violation_window(), BELL_CROSSINGS)
 
     def test_never_exceeds_tsirelson_and_peaks_only_at_pi(self):
         grid = np.linspace(0.0, TWO_PI, 1001)
@@ -312,10 +313,10 @@ class TestRootFinding:
         assert bisect_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
         assert bisect_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
-    def test_bisection_stops_after_its_last_halving(self):
-        # A step never comes within 1e-12 of zero, so every halving runs; the
-        # bracket closes on the sign change at 0.3, and the midpoint of the last
-        # bracket rounds to its lower end, one ulp below.
+    def test_bisection_stops_once_the_bracket_closes(self):
+        # A step is never zero, so the halving runs until the midpoint rounds
+        # to an end: the bracket is then the two doubles around the sign change
+        # at 0.3, |f| ties at 1, and the lower end, one ulp below 0.3, is returned.
         calls = []
 
         def step(x):
@@ -323,7 +324,27 @@ class TestRootFinding:
             return -1.0 if x < 0.3 else 1.0
 
         assert bisect_root(step, 0.0, 1.0) == 0.29999999999999993 == np.nextafter(0.3, 0.0)
-        assert len(calls) == 2 + quantifiers._MAX_BISECTIONS
+        assert len(calls) == 56
+        assert calls[-2:] == [np.nextafter(0.3, 0.0), 0.3]
+
+    def test_bisection_returns_the_end_where_f_is_smaller(self):
+        assert bisect_root(lambda x: -1.0 if x < 0.3 else 2.0, 0.0, 1.0) == np.nextafter(0.3, 0.0)
+        assert bisect_root(lambda x: -2.0 if x < 0.3 else 1.0, 0.0, 1.0) == 0.3
+
+    def test_bisection_does_not_depend_on_the_scale_of_f(self):
+        assert abs(bisect_root(lambda x: 1e-20 * (x - 0.3), 0.0, 1.0) - 0.3) <= np.spacing(0.3)
+        roots = scan_roots(lambda x: 1e-13 * np.cos(x))
+        assert_within_one_ulp(roots, (np.pi / 2.0, 3.0 * np.pi / 2.0))
+
+    def test_bisection_keeps_the_midpoint_of_huge_ends_finite(self):
+        # 1e308 + 1.7e308 overflows; half of each end does not.
+        assert bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308) == 1.5e308
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, np.inf), (0.0, np.inf)])
+    def test_bisection_rejects_an_end_that_is_not_finite(self, lo, hi):
+        where = lo if not np.isfinite(lo) else hi
+        with pytest.raises(ValueError, match=rf"^bracket end x = {where!r} is not finite$"):
+            bisect_root(lambda x: -1.0 if x < 0.3 else 1.0, lo, hi)
 
     @pytest.mark.parametrize("f, where", [
         (lambda x: np.nan, 0.0),
