@@ -28,16 +28,14 @@ from .spin_core import (
 # Settings of `_sphere_search` and of the coarse grids it refines: grid
 # sizes (points per hemisphere), the most grid points evaluated per objective
 # call, the number of best grid points refined, the number of compass
-# directions, the initial and final steps (radians), the spread (in ulps of a
-# point's value) within which its polls count as flat, and a cap on search
-# rounds.
+# directions, the initial step (radians), the spread (in ulps of a point's
+# value) within which its polls count as flat, and a cap on search rounds.
 _DISCORD_GRID = 256
 _CHSH_GRID = 64
 _GRID_POINTS_PER_CALL = 2048
 _STARTS = 3
 _COMPASS = 6
 _STEP = 0.1
-_TOL = 1e-11
 _FLAT_ULPS = 4
 _MAX_ROUNDS = 2000
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -249,12 +247,16 @@ def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
     that vector. The compass turns by the golden angle each round, so over
     the rounds the polled directions cover the tangent plane. The point
     moves to its best poll whenever that poll is lower than its value, and
-    halves its step otherwise. A point stops once its step is below _TOL,
-    or once no poll beats its value and every poll lies within _FLAT_ULPS
-    ulps of it: the objective is then flat at float resolution at that
-    step, and smaller steps would poll the same values. A point's path
-    depends on its own state only. For each state, the lowest value reached
-    once every point has stopped is returned.
+    halves its step otherwise. A point stops once no poll beats its value
+    and every poll lies within _FLAT_ULPS ulps of it: the objective is then
+    flat at float resolution at that step, and smaller steps would poll the
+    same values. At a cone-shaped minimum the polls never look flat, since
+    one ulp of direction there moves the value by more than a few ulps, so
+    a point also stops once its step is down to float64's machine epsilon:
+    a smaller turn would move the unit vectors' components by a few ulps at
+    most. Both stops are set by float resolution, not by a chosen tolerance.
+    A point's path depends on its own state only. For each state, the
+    lowest value reached once every point has stopped is returned.
 
     The points still searching are kept compacted, with their rows, and are
     gathered again only after a round in which one stopped. Each round is
@@ -311,7 +313,7 @@ def _sphere_search(objective, data: np.ndarray, grid: np.ndarray) -> np.ndarray:
         x[moved] = points[moved, k[moved]]
         live_value = np.where(better, best, live_value)
         steps = np.where(better, steps, 0.5 * steps)
-        going = ~flat & (steps > _TOL)
+        going = ~flat & (steps > np.finfo(float).eps)
         if not going.all():
             value[live] = live_value
             live, x, live_value, live_rows, steps = (a[going] for a in (live, x, live_value, live_rows, steps))

@@ -4,6 +4,11 @@
 ingests of a file with a quoted cell left open, with a bound on peak memory:
 
     PYTHONPATH=src:tests python -c 'import sys, test_cli; test_cli.run_open_quote_smoke(sys.argv[1])' DIR
+
+`run_all_quoted_twin` writes a 200000-row scalar input and its twin with
+every cell quoted, for a shell step to ingest and compare:
+
+    PYTHONPATH=src:tests python -c 'import sys, test_cli; test_cli.run_all_quoted_twin(sys.argv[1])' DIR
 """
 
 import csv
@@ -13,6 +18,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1611,3 +1617,13 @@ def run_open_quote_smoke(directory) -> None:
         if rejects != [["2049", OPEN_QUOTE], ["2050", OPEN_QUOTE]]:
             raise SystemExit(f"{path}: rejects {rejects}")
     raise SystemExit(1 if any(codes) or mb > 150 else 0)
+
+
+def run_all_quoted_twin(directory) -> None:
+    """Writes `plain.csv`, a 200000-row scalar input of repr floats (seed 31),
+    and `quoted.csv`, the same rows with every cell quoted, header included,
+    into `directory`."""
+    rng = random.Random(31)
+    rows = [("x_rad", "S")] + [(repr(rng.uniform(-12.0, 12.0)), repr(rng.random())) for _ in range(200000)]
+    Path(directory, "plain.csv").write_text("".join(f"{a},{b}\n" for a, b in rows))
+    Path(directory, "quoted.csv").write_text("".join(f'"{a}","{b}"\n' for a, b in rows))
